@@ -46,7 +46,7 @@ use crate::greedy::{greedy_cover_with, GreedyOptions};
 use crate::ip::ParityCover;
 use crate::relax::{build_relaxation_with_objective, LpForm, LpObjective};
 use crate::round::{round_cover_with, RoundingOptions};
-use ced_lp::simplex::{solve_budgeted, SolveError};
+use ced_lp::simplex::SolveError;
 use ced_lp::sparse::solve_budgeted_sparse;
 use ced_runtime::{Budget as RtBudget, InterruptKind, Interrupted};
 use ced_sim::detect::DetectabilityTable;
@@ -59,26 +59,11 @@ const RETRY_ITER_FACTOR: usize = 8;
 /// Seed rotation applied by the reseeded-retry rung.
 const RETRY_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Which analytic engine executes the search's inner loops.
-///
-/// The engines are bit-for-bit equivalent: every boolean, index, count
-/// and floating-point value the search observes is identical under
-/// either, so reports, store keys and degradation trails do not depend
-/// on the choice. `Sparse` is the default; `Dense` is the escape hatch
-/// that keeps the original row-major/dense-tableau code paths live (and
-/// is faster on very small tables, where packing overhead dominates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverEngine {
-    /// Bit-packed tensor columns, GF(2) case-kernel cover checks, and
-    /// the sparse-row simplex.
-    #[default]
-    Sparse,
-    /// Row-major tensor queries and the dense tableau simplex.
-    Dense,
-}
-
 /// Configuration of the parity-minimization search.
-#[derive(Clone)]
+///
+/// Fingerprints and store keys hash the `Debug` rendering, so adding,
+/// removing or renaming a field changes every cache key.
+#[derive(Debug, Clone)]
 pub struct CedOptions {
     /// Rounding attempts per feasibility query (the paper's `ITER`).
     pub iterations: usize,
@@ -101,30 +86,6 @@ pub struct CedOptions {
     /// budget: each solve allocates a dense tableau). `None` =
     /// unbounded.
     pub max_lp_solves: Option<usize>,
-    /// Analytic engine for the inner loops. Excluded from the `Debug`
-    /// rendering below on purpose: fingerprints and store keys hash
-    /// `format!("{opts:?}")`, and the engines produce identical bytes,
-    /// so the same analysis must map to the same cache entry under
-    /// either engine.
-    pub engine: SolverEngine,
-}
-
-impl fmt::Debug for CedOptions {
-    // Hand-rolled to render exactly like the pre-`engine` derived
-    // output: `engine` must stay invisible to everything that hashes
-    // this text (suite fingerprints, store keys).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CedOptions")
-            .field("iterations", &self.iterations)
-            .field("form", &self.form)
-            .field("seed", &self.seed)
-            .field("lp_row_cap", &self.lp_row_cap)
-            .field("refinement_rounds", &self.refinement_rounds)
-            .field("objective", &self.objective)
-            .field("time_budget", &self.time_budget)
-            .field("max_lp_solves", &self.max_lp_solves)
-            .finish()
-    }
 }
 
 impl Default for CedOptions {
@@ -138,7 +99,6 @@ impl Default for CedOptions {
             objective: LpObjective::default(),
             time_budget: None,
             max_lp_solves: None,
-            engine: SolverEngine::Sparse,
         }
     }
 }
@@ -344,14 +304,10 @@ pub fn minimize_interruptible(
     // typically orders of magnitude fewer rows), hardest rows first so
     // that failed rounding attempts are rejected quickly.
     let table = &table.dominance_reduced().sorted_by_difficulty();
-    // The sparse engine packs the reduced table once (column-major
-    // bitvectors + GF(2) case kernel) and reuses it across every
-    // feasibility query and ladder rung.
-    let sparse = match options.engine {
-        SolverEngine::Sparse => Some(SparseTables::build(table)),
-        SolverEngine::Dense => None,
-    };
-    let sparse = sparse.as_ref();
+    // Pack the reduced table once (column-major bitvectors + GF(2)
+    // case kernel) and reuse it across every feasibility query and
+    // ladder rung.
+    let sparse = &SparseTables::build(table);
     let n = table.num_bits();
     let mut outcome = SearchOutcome {
         cover: ParityCover::singletons(n),
@@ -382,7 +338,7 @@ pub fn minimize_interruptible(
         return Ok(outcome);
     }
     if let Some(seed_cover) = incumbent {
-        if seed_cover.len() < outcome.q && fully_covered(table, sparse, &seed_cover.masks) {
+        if seed_cover.len() < outcome.q && sparse.all_covered(&seed_cover.masks) {
             outcome.cover = seed_cover.clone();
             outcome.q = seed_cover.len();
             outcome.method = LadderRung::Incumbent;
@@ -513,13 +469,13 @@ pub fn minimize_interruptible(
     }
     let greedy = greedy_cover_with(
         table,
-        sparse.map(SparseTables::full),
+        Some(sparse.full()),
         &GreedyOptions {
             seed: options.seed,
             ..GreedyOptions::default()
         },
     );
-    let verified = fully_covered(table, sparse, &greedy.masks);
+    let verified = sparse.all_covered(&greedy.masks);
     debug_assert!(verified, "reduced tables have no undetectable rows");
     if verified && greedy.len() < outcome.q {
         outcome.q = greedy.len().max(1);
@@ -582,16 +538,6 @@ impl<'a> SearchBudget<'a> {
     }
 }
 
-/// Boolean full-cover check, on the case kernel when the sparse engine
-/// is active — exactly equal to `table.all_covered` by the kernel's
-/// witness map.
-fn fully_covered(table: &DetectabilityTable, sparse: Option<&SparseTables>, masks: &[u64]) -> bool {
-    match sparse {
-        Some(s) => s.all_covered(masks),
-        None => table.all_covered(masks),
-    }
-}
-
 /// Soft-failure tally of one binary-search rung.
 #[derive(Debug, Default)]
 struct RungStats {
@@ -645,7 +591,7 @@ enum QueryVerdict {
 #[allow(clippy::too_many_arguments)]
 fn run_binary_search(
     table: &DetectabilityTable,
-    sparse: Option<&SparseTables>,
+    sparse: &SparseTables,
     options: &CedOptions,
     rung: LadderRung,
     outcome: &mut SearchOutcome,
@@ -711,7 +657,7 @@ fn run_binary_search(
 /// One feasibility query: LP (with lazy rows) + randomized rounding.
 fn try_feasible(
     table: &DetectabilityTable,
-    sparse: Option<&SparseTables>,
+    sparse: &SparseTables,
     q: usize,
     options: &CedOptions,
     query: u64,
@@ -734,11 +680,7 @@ fn try_feasible(
         let relax =
             build_relaxation_with_objective(table, q, options.form, &rows, options.objective);
         outcome.lp_solves += 1;
-        let solved = match options.engine {
-            SolverEngine::Sparse => solve_budgeted_sparse(&relax.lp, budget.runtime),
-            SolverEngine::Dense => solve_budgeted(&relax.lp, budget.runtime),
-        };
-        let sol = match solved {
+        let sol = match solve_budgeted_sparse(&relax.lp, budget.runtime) {
             Ok(sol) => sol,
             // Subset infeasible ⇒ full infeasible: a sound proof.
             Err(SolveError::Infeasible) => return QueryVerdict::ProvedInfeasible,
@@ -765,7 +707,7 @@ fn try_feasible(
                 .wrapping_add(query.wrapping_mul(0x9E37_79B9))
                 .wrapping_add(round as u64),
         };
-        match round_cover_with(table, sparse, q, &betas, &ropts) {
+        match round_cover_with(table, Some(sparse), q, &betas, &ropts) {
             Ok(r) => {
                 outcome.rounding_attempts += r.attempts;
                 return QueryVerdict::Feasible(r.cover);
@@ -808,6 +750,8 @@ fn hardest_rows(table: &DetectabilityTable, cap: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_cover;
+    use ced_lp::simplex::solve_budgeted;
     use ced_sim::detect::EcRow;
 
     fn table(num_bits: usize, rows: Vec<Vec<u64>>) -> DetectabilityTable {
@@ -1059,27 +1003,66 @@ mod tests {
         assert_eq!(plain.lp_solves, budgeted.lp_solves);
     }
 
-    #[test]
-    fn options_debug_never_reveals_the_engine() {
-        // Fingerprints and store keys hash `format!("{opts:?}")`; the
-        // engine choice must not perturb cache identity.
-        let sparse = CedOptions::default();
-        let dense = CedOptions {
-            engine: SolverEngine::Dense,
-            ..CedOptions::default()
+    /// Replays every feasibility query of `outcome` through the sparse
+    /// primitives the search composes and through the row-major /
+    /// dense-tableau oracle, asserting they agree call for call: the
+    /// full LP solution (iteration count included) on the first-LP row
+    /// set and on all rows, rounding at the query's seed, the cover
+    /// check, and the greedy rung.
+    fn assert_matches_oracle(
+        table: &DetectabilityTable,
+        options: &CedOptions,
+        outcome: &SearchOutcome,
+    ) {
+        let reduced = table.dominance_reduced().sorted_by_difficulty();
+        let sparse = SparseTables::build(&reduced);
+        let all: Vec<usize> = (0..reduced.len()).collect();
+        let first = if reduced.len() <= options.lp_row_cap {
+            all.clone()
+        } else {
+            hardest_rows(&reduced, options.lp_row_cap)
         };
-        let rendered = format!("{sparse:?}");
-        assert_eq!(rendered, format!("{dense:?}"));
-        assert!(!rendered.to_lowercase().contains("engine"), "{rendered}");
-        assert!(rendered.starts_with("CedOptions {"), "{rendered}");
-        assert!(rendered.contains("iterations: 1000"), "{rendered}");
-        assert!(rendered.contains("max_lp_solves: None"), "{rendered}");
+        let runtime = RtBudget::unlimited();
+        for (query, &(q, _)) in (1u64..).zip(&outcome.feasibility_trace) {
+            for rows in [&first, &all] {
+                let relax = build_relaxation_with_objective(
+                    &reduced,
+                    q,
+                    options.form,
+                    rows,
+                    options.objective,
+                );
+                let solved = solve_budgeted_sparse(&relax.lp, &runtime);
+                assert_eq!(solved, solve_budgeted(&relax.lp, &runtime), "q={q}");
+                let Ok(sol) = solved else { continue };
+                let betas = relax.fractional_betas(&sol.x);
+                let ropts = RoundingOptions {
+                    iterations: options.iterations,
+                    seed: options.seed.wrapping_add(query.wrapping_mul(0x9E37_79B9)),
+                };
+                assert_eq!(
+                    round_cover_with(&reduced, Some(&sparse), q, &betas, &ropts),
+                    round_cover_with(&reduced, None, q, &betas, &ropts),
+                    "q={q}"
+                );
+            }
+        }
+        let masks = &outcome.cover.masks;
+        assert_eq!(sparse.all_covered(masks), reduced.all_covered(masks));
+        let greedy = GreedyOptions {
+            seed: options.seed,
+            ..GreedyOptions::default()
+        };
+        assert_eq!(
+            greedy_cover_with(&reduced, Some(sparse.full()), &greedy),
+            greedy_cover(&reduced, &greedy)
+        );
     }
 
     #[test]
     fn dense_engine_reproduces_sparse_outcome_exactly() {
-        // Seeded pseudo-random tables, both engines, full outcome
-        // equality: cover, q, solve counts, trace and trail.
+        // Seeded pseudo-random tables: the dense oracle reproduces
+        // every sparse call the search made.
         for seed in 1..6u64 {
             let mut x = seed;
             let mut next = || {
@@ -1093,30 +1076,26 @@ mod tests {
                 .filter(|r| r.iter().any(|&d| d != 0))
                 .collect();
             let t = table(7, rows);
-            let sparse = minimize_parity_functions(&t, &CedOptions::default());
-            let dense = minimize_parity_functions(
-                &t,
-                &CedOptions {
-                    engine: SolverEngine::Dense,
+            // A small row cap makes the first LP a strict row subset.
+            for lp_row_cap in [256, 16] {
+                let options = CedOptions {
+                    lp_row_cap,
                     ..CedOptions::default()
-                },
-            );
-            assert_eq!(sparse.cover, dense.cover, "seed {seed}");
-            assert_eq!(sparse.q, dense.q, "seed {seed}");
-            assert_eq!(sparse.lp_solves, dense.lp_solves, "seed {seed}");
-            assert_eq!(sparse.rounding_attempts, dense.rounding_attempts);
-            assert_eq!(sparse.feasibility_trace, dense.feasibility_trace);
-            assert_eq!(sparse.method, dense.method, "seed {seed}");
-            assert_eq!(sparse.degradation, dense.degradation, "seed {seed}");
+                };
+                let outcome = minimize_parity_functions(&t, &options);
+                assert!(t.all_covered(&outcome.cover.masks), "seed {seed}");
+                assert!(!outcome.feasibility_trace.is_empty(), "seed {seed}");
+                assert_matches_oracle(&t, &options, &outcome);
+            }
         }
     }
 
     #[test]
     fn dense_engine_reproduces_degraded_outcomes_exactly() {
         // Force the ladder down (ITER = 0) and under a tiny LP budget:
-        // the degradation trail must be engine-independent too.
+        // the oracle replay covers the degraded calls too.
         let t = table(4, vec![vec![0b0001], vec![0b0011], vec![0b0101]]);
-        for opts in [
+        for options in [
             CedOptions {
                 iterations: 0,
                 ..CedOptions::default()
@@ -1126,17 +1105,8 @@ mod tests {
                 ..CedOptions::default()
             },
         ] {
-            let sparse = minimize_parity_functions(&t, &opts);
-            let dense = minimize_parity_functions(
-                &t,
-                &CedOptions {
-                    engine: SolverEngine::Dense,
-                    ..opts
-                },
-            );
-            assert_eq!(sparse.cover, dense.cover);
-            assert_eq!(sparse.method, dense.method);
-            assert_eq!(sparse.degradation, dense.degradation);
+            let outcome = minimize_parity_functions(&t, &options);
+            assert_matches_oracle(&t, &options, &outcome);
         }
     }
 

@@ -81,8 +81,8 @@ impl Default for GeneratorConfig {
     }
 }
 
-/// The dk512-shaped scaling workload behind `ced gen` and the sparse
-/// engine benchmarks: the paper's dk512 interface (1 input bit, 3
+/// The dk512-shaped scaling workload behind `ced gen` and the scaling
+/// benchmarks: the paper's dk512 interface (1 input bit, 3
 /// output bits, Moore-like output pool, heavy self-loops) with
 /// `scale` × its 15 states. Larger machines mean more encoded state
 /// bits and a combinatorially larger detectability tensor, which is

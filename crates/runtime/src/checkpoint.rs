@@ -24,6 +24,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Leading magic of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CEDC";
@@ -171,26 +172,33 @@ pub fn decode_checkpoint(bytes: &[u8], kind: u16) -> Result<Vec<u8>, CheckpointE
 
 /// Atomically writes a checkpoint: the envelope is written to a
 /// temporary file in the same directory, flushed, then renamed over
-/// `path`.
+/// `path`. The temp name is unique per writer (pid plus a process-wide
+/// counter), so processes and threads saving the same path at once
+/// never write into, or rename away, each other's temp file.
 pub fn save_checkpoint(path: &Path, kind: u16, payload: &[u8]) -> Result<(), CheckpointError> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let bytes = encode_checkpoint(kind, payload);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| CheckpointError::Io("checkpoint path has no file name".into()))?;
-    let mut tmp = std::ffi::OsString::from(".");
-    tmp.push(file_name);
-    tmp.push(".tmp");
-    let tmp_path = match dir {
-        Some(d) => d.join(&tmp),
-        None => std::path::PathBuf::from(&tmp),
-    };
+    if path.file_name().is_none() {
+        return Err(CheckpointError::Io(
+            "checkpoint path has no file name".into(),
+        ));
+    }
+    let tag = format!(
+        "{}-{}",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    );
+    let tmp_path = crate::lease::publish_tmp_path(path, &tag);
     let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-    let mut f = fs::File::create(&tmp_path).map_err(io)?;
-    f.write_all(&bytes).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    drop(f);
-    fs::rename(&tmp_path, path).map_err(io)
+    let written = fs::File::create(&tmp_path).and_then(|mut f| {
+        f.write_all(&bytes)?;
+        f.sync_all()
+    });
+    let renamed = written.and_then(|()| fs::rename(&tmp_path, path));
+    if renamed.is_err() {
+        let _ = fs::remove_file(&tmp_path);
+    }
+    renamed.map_err(io)
 }
 
 /// Loads and verifies a checkpoint file, returning its payload.
@@ -464,6 +472,35 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(leftovers, vec![std::ffi::OsString::from("state.ckpt")]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_never_collide() {
+        // Fleet workers and daemons sharing a store save the same key
+        // at once. Each writer needs its own temp file: with a shared
+        // name one writer's rename steals the other's file (ENOENT) or
+        // renames a half-written one into place.
+        let dir = std::env::temp_dir().join(format!("ced-ckpt-race-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.ckpt");
+        let payloads: Vec<Vec<u8>> = (0..4u8).map(|t| vec![t; 64 * 1024]).collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        save_checkpoint(path, 9, payload).unwrap();
+                    }
+                });
+            }
+        });
+        let last = load_checkpoint(&path, 9).unwrap();
+        assert!(payloads.contains(&last), "torn checkpoint");
+        let leftovers = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leftovers, 1, "temp files left behind");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -87,8 +87,9 @@ pub fn mtime_age(path: &Path) -> Option<Duration> {
     )
 }
 
-/// The temp-file sibling used by [`publish_envelope`] for `path` and
-/// `tag` — exposed so tests can assert no temp files leak.
+/// The temp-file sibling used by [`publish_envelope`] and
+/// [`crate::save_checkpoint`] for `path` and `tag` — exposed so tests
+/// can assert no temp files leak.
 pub fn publish_tmp_path(path: &Path, tag: &str) -> PathBuf {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let name = path

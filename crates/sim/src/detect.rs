@@ -850,7 +850,6 @@ impl DetectabilityTable {
         control: &mut BuildControl<'_>,
         read_fragments: bool,
     ) -> Result<FragmentOutcome, DetectError> {
-        let r = circuit.num_inputs();
         let n = circuit.total_bits();
         let np = latencies.len();
         let activation_states = good.reachable_codes();
@@ -943,16 +942,8 @@ impl DetectabilityTable {
         let window = pool.map_or(1, |p| p.jobs() * 2);
         let mut prefetched: VecDeque<TransitionTables> = VecDeque::new();
 
-        let mut inputs_scratch: Vec<u64> = Vec::new();
         let mut seen_starts: Vec<HashSet<(u64, u64, u64, u64)>> =
             latencies.iter().map(|_| HashSet::new()).collect();
-        // Time-varying models need the phase-aware enumerators; the
-        // time-invariant ones (permanent, multi-bit) keep the original
-        // code path so the permanent default stays byte-identical.
-        // Activation steps are 1-indexed and step 1 is active under
-        // every model, so the first-step difference `d1` below is
-        // always taken from the faulty tables.
-        let timed = !options.fault_model.time_invariant();
         for (fi, &fault) in faults.iter().enumerate().skip(start_fault) {
             // Clean fault boundary: the collectors hold exactly the
             // rows of faults `0..fi`, so a checkpoint here resumes
@@ -1038,123 +1029,33 @@ impl DetectabilityTable {
                         })
                     })
                     .collect();
-                let mut testable = false;
-                let mut activations = 0usize;
-                // Activations with identical (D₁, start, successor) enumerate
-                // identical subtrees (the start matters for the loop rule) —
-                // dedupe them per fault and latency bound.
-                for set in seen_starts.iter_mut() {
-                    set.clear();
-                }
-
-                for &c in &activation_states {
-                    // Mid-fault safe point: prompt response to cancellation
-                    // and deadlines only — the collectors already hold
-                    // partial rows for this fault, so nothing resumable can
-                    // be captured here. Quantity caps (ticks/bytes) wait
-                    // for the next fault boundary, which yields a clean
-                    // checkpoint instead.
-                    if let Err(interrupted) = budget.check("tensor:enumerate") {
-                        if matches!(
-                            interrupted.kind,
-                            InterruptKind::Cancelled | InterruptKind::DeadlineExceeded
-                        ) {
-                            return Err(DetectError::Interrupted {
-                                interrupted,
-                                checkpoint: None,
-                            });
-                        }
-                    }
-                    options.input_model.inputs_at(c, r, &mut inputs_scratch);
-                    let inputs_here = inputs_scratch.clone();
-                    for a1 in inputs_here {
-                        let d1 = good.response(c, a1) ^ bad.response(c, a1);
-                        if d1 == 0 {
-                            continue;
-                        }
-                        testable = true;
-                        activations += 1;
-                        budget.charge(1);
-                        for ((pi, &p), slot) in latencies.iter().enumerate().zip(local.iter_mut()) {
-                            let Some((collector, footprint)) = slot.as_mut() else {
-                                continue;
-                            };
-                            match options.semantics {
-                                Semantics::FaultyTrajectory => {
-                                    let s1 = bad.next(c, a1);
-                                    if !seen_starts[pi].insert((d1, c, s1, 0)) {
-                                        continue;
-                                    }
-                                    if timed {
-                                        enumerate_paths_timed(
-                                            good,
-                                            &bad,
-                                            options.fault_model,
-                                            &options.input_model,
-                                            r,
-                                            p,
-                                            c,
-                                            d1,
-                                            s1,
-                                            collector,
-                                        );
-                                    } else {
-                                        enumerate_paths(
-                                            good,
-                                            &bad,
-                                            &options.input_model,
-                                            r,
-                                            p,
-                                            c,
-                                            d1,
-                                            s1,
-                                            collector,
-                                        );
-                                    }
-                                }
-                                Semantics::Lockstep => {
-                                    let pair1 = (good.next(c, a1), bad.next(c, a1));
-                                    if !seen_starts[pi].insert((d1, c, pair1.0, pair1.1)) {
-                                        continue;
-                                    }
-                                    if timed {
-                                        enumerate_lockstep_timed(
-                                            good,
-                                            &bad,
-                                            options.fault_model,
-                                            &options.input_model,
-                                            r,
-                                            p,
-                                            (c, c),
-                                            d1,
-                                            pair1,
-                                            collector,
-                                            footprint,
-                                        );
-                                    } else {
-                                        enumerate_lockstep(
-                                            good,
-                                            &bad,
-                                            &options.input_model,
-                                            r,
-                                            p,
-                                            (c, c),
-                                            d1,
-                                            pair1,
-                                            collector,
-                                            footprint,
-                                        );
-                                    }
-                                }
-                            }
-                            if collector.overflowed() {
-                                return Err(DetectError::TooManyRows {
-                                    limit: options.max_rows,
-                                });
-                            }
-                        }
-                    }
-                }
+                // One dispatch per fault: time-invariant models walk
+                // bare states under the zero-sized `Always` clock.
+                let (testable, activations) = if options.fault_model.time_invariant() {
+                    enumerate_activations(
+                        Always,
+                        good,
+                        &bad,
+                        options,
+                        &activation_states,
+                        latencies,
+                        &mut local,
+                        &mut seen_starts,
+                        budget,
+                    )
+                } else {
+                    enumerate_activations(
+                        options.fault_model,
+                        good,
+                        &bad,
+                        options,
+                        &activation_states,
+                        latencies,
+                        &mut local,
+                        &mut seen_starts,
+                        budget,
+                    )
+                }?;
                 // Package the freshly enumerated bounds as fragments —
                 // the stored artifact (if any) and the absorb source
                 // below are the same value by construction.
@@ -1916,17 +1817,175 @@ fn promote_fragment(
     Some(frag)
 }
 
+/// A fault's activation schedule as the enumerators read it: whether
+/// the fault asserts on a 1-indexed step, whether it is gone for good,
+/// and its automaton phase (a loop cut needs the state *and* the phase
+/// to recur).
+trait PhaseClock: Copy {
+    /// The fault-automaton phase.
+    type Phase: Copy + PartialEq;
+    fn phase_at(self, step: usize) -> Self::Phase;
+    fn active_at(self, step: usize) -> bool;
+    fn dead_after(self, step: usize) -> bool;
+}
+
+/// The clock of a time-invariant model (permanent, multi-bit cluster):
+/// asserted on every step, one phase. Zero-sized, so `visited` holds
+/// bare states and every phase test folds away.
+#[derive(Clone, Copy)]
+struct Always;
+
+impl PhaseClock for Always {
+    type Phase = ();
+    fn phase_at(self, _step: usize) {}
+    fn active_at(self, _step: usize) -> bool {
+        true
+    }
+    fn dead_after(self, _step: usize) -> bool {
+        false
+    }
+}
+
+impl PhaseClock for FaultModel {
+    type Phase = u64;
+    fn phase_at(self, step: usize) -> u64 {
+        FaultModel::phase_at(self, step)
+    }
+    fn active_at(self, step: usize) -> bool {
+        FaultModel::active_at(self, step)
+    }
+    fn dead_after(self, step: usize) -> bool {
+        FaultModel::dead_after(self, step)
+    }
+}
+
+/// Enumerates every error activation of one fault into the per-bound
+/// collectors `local` (`None` slots are served by stored fragments)
+/// and returns `(testable, activations)`.
+///
+/// Activation steps are 1-indexed and step 1 is active under every
+/// model, so the first-step difference `d1` is always taken from the
+/// faulty tables.
+#[allow(clippy::too_many_arguments)]
+fn enumerate_activations<C: PhaseClock>(
+    clock: C,
+    good: &TransitionTables,
+    bad: &TransitionTables,
+    options: &DetectOptions,
+    activation_states: &[u64],
+    latencies: &[usize],
+    local: &mut [Option<(Collector, CodeFootprint)>],
+    seen_starts: &mut [HashSet<(u64, u64, u64, u64)>],
+    budget: &Budget,
+) -> Result<(bool, usize), DetectError> {
+    let r = good.num_inputs();
+    let mut testable = false;
+    let mut activations = 0usize;
+    // Activations with identical (D₁, start, successor) enumerate
+    // identical subtrees (the start matters for the loop rule) —
+    // dedupe them per fault and latency bound.
+    for set in seen_starts.iter_mut() {
+        set.clear();
+    }
+    let mut inputs = Vec::new();
+    for &c in activation_states {
+        // Mid-fault safe point: prompt response to cancellation and
+        // deadlines only — the collectors already hold partial rows for
+        // this fault, so nothing resumable can be captured here.
+        // Quantity caps (ticks/bytes) wait for the next fault boundary,
+        // which yields a clean checkpoint instead.
+        if let Err(interrupted) = budget.check("tensor:enumerate") {
+            if matches!(
+                interrupted.kind,
+                InterruptKind::Cancelled | InterruptKind::DeadlineExceeded
+            ) {
+                return Err(DetectError::Interrupted {
+                    interrupted,
+                    checkpoint: None,
+                });
+            }
+        }
+        options.input_model.inputs_at(c, r, &mut inputs);
+        for &a1 in &inputs {
+            let d1 = good.response(c, a1) ^ bad.response(c, a1);
+            if d1 == 0 {
+                continue;
+            }
+            testable = true;
+            activations += 1;
+            budget.charge(1);
+            for ((pi, &p), slot) in latencies.iter().enumerate().zip(local.iter_mut()) {
+                let Some((collector, footprint)) = slot.as_mut() else {
+                    continue;
+                };
+                match options.semantics {
+                    Semantics::FaultyTrajectory => {
+                        let s1 = bad.next(c, a1);
+                        if !seen_starts[pi].insert((d1, c, s1, 0)) {
+                            continue;
+                        }
+                        enumerate_paths(
+                            good,
+                            bad,
+                            clock,
+                            &options.input_model,
+                            r,
+                            p,
+                            c,
+                            d1,
+                            s1,
+                            collector,
+                        );
+                    }
+                    Semantics::Lockstep => {
+                        let pair1 = (good.next(c, a1), bad.next(c, a1));
+                        if !seen_starts[pi].insert((d1, c, pair1.0, pair1.1)) {
+                            continue;
+                        }
+                        enumerate_lockstep(
+                            good,
+                            bad,
+                            clock,
+                            &options.input_model,
+                            r,
+                            p,
+                            (c, c),
+                            d1,
+                            pair1,
+                            collector,
+                            footprint,
+                        );
+                    }
+                }
+                if collector.overflowed() {
+                    return Err(DetectError::TooManyRows {
+                        limit: options.max_rows,
+                    });
+                }
+            }
+        }
+    }
+    Ok((testable, activations))
+}
+
 /// Depth-first enumeration of the faulty-trajectory suffixes
 /// ([`Semantics::FaultyTrajectory`]).
 ///
-/// Rows (length `p`, zero-padded after loop cuts) are pushed into the
+/// At each 1-indexed step the faulty machine follows the faulty tables
+/// iff the clock is active there and the fault-free tables otherwise
+/// (the single physical machine simply stops misbehaving when the
+/// fault deasserts, so its difference is zero on inactive steps). Rows
+/// (length `p`, zero-padded after loop cuts) are pushed into the
 /// collector; input symbols with identical (diff, next) effects at a
 /// node are collapsed, and branches whose prefix is already dominated
-/// are pruned.
+/// are pruned. Loop cuts require the clock's phase to repeat along
+/// with the state — a state revisited at a different phase has a
+/// different future.
 #[allow(clippy::too_many_arguments)]
-fn enumerate_paths(
+fn enumerate_paths<C: PhaseClock>(
     good: &TransitionTables,
     bad: &TransitionTables,
+    clock: C,
     input_model: &InputModel,
     r: usize,
     p: usize,
@@ -1939,8 +1998,9 @@ fn enumerate_paths(
         // Every row from this activation contains d1; all dominated.
         return;
     }
-    // Fast path: latency 1, or immediate loop back to the start.
-    if p == 1 || s1 == start_state {
+    // Fast path: latency 1, or an immediate loop back to the start at
+    // the same phase.
+    if p == 1 || (s1 == start_state && clock.phase_at(1) == clock.phase_at(2)) {
         let mut row = vec![0u64; p];
         row[0] = d1;
         out.insert(&row);
@@ -1948,10 +2008,11 @@ fn enumerate_paths(
     }
     let mut prefix = vec![0u64; p];
     prefix[0] = d1;
-    let mut visited = vec![start_state, s1];
+    let mut visited = vec![(start_state, clock.phase_at(1)), (s1, clock.phase_at(2))];
     extend(
         good,
         bad,
+        clock,
         input_model,
         r,
         p,
@@ -1964,26 +2025,44 @@ fn enumerate_paths(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn extend(
+fn extend<C: PhaseClock>(
     good: &TransitionTables,
     bad: &TransitionTables,
+    clock: C,
     input_model: &InputModel,
     r: usize,
     p: usize,
     depth: usize,
     state: u64,
     prefix: &mut Vec<u64>,
-    visited: &mut Vec<u64>,
+    visited: &mut Vec<(u64, C::Phase)>,
     out: &mut Collector,
 ) {
+    // `depth` slots of `prefix` are filled; this call produces step
+    // `depth + 1` (1-indexed).
+    let step = depth + 1;
+    if clock.dead_after(step) {
+        // A transient past its window never reasserts: on the shared
+        // trajectory every remaining difference is zero, so the row is
+        // exactly the prefix (its tail is already zero-filled).
+        let row = prefix.clone();
+        out.insert(&row);
+        return;
+    }
+    let active = clock.active_at(step);
+    let next_phase = clock.phase_at(step + 1);
     let mut seen_effects: HashSet<(u64, u64)> = HashSet::new();
     // Inputs explored from the *faulty-trajectory* state's vantage: it
     // is the state the machine is actually in.
     let mut inputs = Vec::new();
     input_model.inputs_at(state, r, &mut inputs);
     for input in inputs {
-        let d = good.response(state, input) ^ bad.response(state, input);
-        let nx = bad.next(state, input);
+        let (resp, nx) = if active {
+            (bad.response(state, input), bad.next(state, input))
+        } else {
+            (good.response(state, input), good.next(state, input))
+        };
+        let d = good.response(state, input) ^ resp;
         if !seen_effects.insert((d, nx)) {
             continue;
         }
@@ -1992,7 +2071,7 @@ fn extend(
             prefix[depth] = 0;
             continue;
         }
-        if depth + 1 == p || visited.contains(&nx) {
+        if depth + 1 == p || visited.contains(&(nx, next_phase)) {
             // Complete, or loop cut: remaining steps stay zero.
             let mut row = prefix.clone();
             for slot in row.iter_mut().skip(depth + 1) {
@@ -2000,10 +2079,11 @@ fn extend(
             }
             out.insert(&row);
         } else {
-            visited.push(nx);
+            visited.push((nx, next_phase));
             extend(
                 good,
                 bad,
+                clock,
                 input_model,
                 r,
                 p,
@@ -2022,11 +2102,16 @@ fn extend(
 /// Depth-first enumeration of lockstep (good, faulty) pair suffixes
 /// ([`Semantics::Lockstep`]): the difference at each step compares the
 /// good machine's response from its own trajectory with the faulty
-/// machine's from its own, as a fault simulator reports.
+/// machine's from its own, as a fault simulator reports. Unlike the
+/// shared-trajectory semantics, divergence survives deassertion: once
+/// the faulty machine's state differs from the good machine's, the
+/// pair keeps diverging under fault-free dynamics until the
+/// trajectories reconverge.
 #[allow(clippy::too_many_arguments)]
-fn enumerate_lockstep(
+fn enumerate_lockstep<C: PhaseClock>(
     good: &TransitionTables,
     bad: &TransitionTables,
+    clock: C,
     input_model: &InputModel,
     r: usize,
     p: usize,
@@ -2039,7 +2124,7 @@ fn enumerate_lockstep(
     if out.prefix_dominated(&[d1]) {
         return;
     }
-    if p == 1 || pair1 == start_pair {
+    if p == 1 || (pair1 == start_pair && clock.phase_at(1) == clock.phase_at(2)) {
         let mut row = vec![0u64; p];
         row[0] = d1;
         out.insert(&row);
@@ -2047,10 +2132,11 @@ fn enumerate_lockstep(
     }
     let mut prefix = vec![0u64; p];
     prefix[0] = d1;
-    let mut visited = vec![start_pair, pair1];
+    let mut visited = vec![(start_pair, clock.phase_at(1)), (pair1, clock.phase_at(2))];
     extend_lockstep(
         good,
         bad,
+        clock,
         input_model,
         r,
         p,
@@ -2064,264 +2150,39 @@ fn enumerate_lockstep(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn extend_lockstep(
+fn extend_lockstep<C: PhaseClock>(
     good: &TransitionTables,
     bad: &TransitionTables,
+    clock: C,
     input_model: &InputModel,
     r: usize,
     p: usize,
     depth: usize,
     pair: (u64, u64),
     prefix: &mut Vec<u64>,
-    visited: &mut Vec<(u64, u64)>,
+    visited: &mut Vec<((u64, u64), C::Phase)>,
     out: &mut Collector,
     footprint: &mut CodeFootprint,
 ) {
     let (g, f) = pair;
     // Divergent pairs read the good tables at two distinct codes; the
     // footprint records both for cross-machine fragment promotion.
-    footprint.record(g, f);
-    let mut seen_effects: HashSet<(u64, (u64, u64))> = HashSet::new();
-    // Inputs explored from the good-trajectory state's vantage: the
-    // STG structure of the fault-free machine defines "transitions".
-    let mut inputs = Vec::new();
-    input_model.inputs_at(g, r, &mut inputs);
-    for input in inputs {
-        let d = good.response(g, input) ^ bad.response(f, input);
-        let nx = (good.next(g, input), bad.next(f, input));
-        if !seen_effects.insert((d, nx)) {
-            continue;
-        }
-        prefix[depth] = d;
-        if out.prefix_dominated(&prefix[..=depth]) {
-            prefix[depth] = 0;
-            continue;
-        }
-        if depth + 1 == p || visited.contains(&nx) {
-            let mut row = prefix.clone();
-            for slot in row.iter_mut().skip(depth + 1) {
-                *slot = 0;
-            }
-            out.insert(&row);
-        } else {
-            visited.push(nx);
-            extend_lockstep(
-                good,
-                bad,
-                input_model,
-                r,
-                p,
-                depth + 1,
-                nx,
-                prefix,
-                visited,
-                out,
-                footprint,
-            );
-            visited.pop();
-        }
-        prefix[depth] = 0;
-    }
-}
-
-/// Phase-aware variant of [`enumerate_paths`] for time-varying fault
-/// models. At each 1-indexed step the faulty machine follows the
-/// faulty tables iff the model is active there and the fault-free
-/// tables otherwise (the single physical machine of
-/// [`Semantics::FaultyTrajectory`] simply stops misbehaving when the
-/// fault deasserts, so its difference is zero on inactive steps).
-/// Loop cuts require the *fault-automaton phase* to repeat along with
-/// the state — a state revisited at a different phase has a different
-/// future.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_paths_timed(
-    good: &TransitionTables,
-    bad: &TransitionTables,
-    model: FaultModel,
-    input_model: &InputModel,
-    r: usize,
-    p: usize,
-    start_state: u64,
-    d1: u64,
-    s1: u64,
-    out: &mut Collector,
-) {
-    if out.prefix_dominated(&[d1]) {
-        return;
-    }
-    // The start-state loop cut only applies when the phase recurs too.
-    if p == 1 || (s1 == start_state && model.phase_at(1) == model.phase_at(2)) {
-        let mut row = vec![0u64; p];
-        row[0] = d1;
-        out.insert(&row);
-        return;
-    }
-    let mut prefix = vec![0u64; p];
-    prefix[0] = d1;
-    let mut visited = vec![(start_state, model.phase_at(1)), (s1, model.phase_at(2))];
-    extend_timed(
-        good,
-        bad,
-        model,
-        input_model,
-        r,
-        p,
-        1,
-        s1,
-        &mut prefix,
-        &mut visited,
-        out,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend_timed(
-    good: &TransitionTables,
-    bad: &TransitionTables,
-    model: FaultModel,
-    input_model: &InputModel,
-    r: usize,
-    p: usize,
-    depth: usize,
-    state: u64,
-    prefix: &mut Vec<u64>,
-    visited: &mut Vec<(u64, u64)>,
-    out: &mut Collector,
-) {
-    // `depth` slots of `prefix` are filled; this call produces step
-    // `depth + 1` (1-indexed).
-    let step = depth + 1;
-    if model.dead_after(step) {
-        // A transient past its window never reasserts: on the shared
-        // trajectory every remaining difference is zero, so the row is
-        // exactly the prefix (its tail is already zero-filled).
-        let row = prefix.clone();
-        out.insert(&row);
-        return;
-    }
-    let active = model.active_at(step);
-    let mut seen_effects: HashSet<(u64, u64)> = HashSet::new();
-    let mut inputs = Vec::new();
-    input_model.inputs_at(state, r, &mut inputs);
-    for input in inputs {
-        let (resp, nx) = if active {
-            (bad.response(state, input), bad.next(state, input))
-        } else {
-            (good.response(state, input), good.next(state, input))
-        };
-        let d = good.response(state, input) ^ resp;
-        if !seen_effects.insert((d, nx)) {
-            continue;
-        }
-        prefix[depth] = d;
-        if out.prefix_dominated(&prefix[..=depth]) {
-            prefix[depth] = 0;
-            continue;
-        }
-        let next_phase = model.phase_at(step + 1);
-        if depth + 1 == p || visited.contains(&(nx, next_phase)) {
-            let mut row = prefix.clone();
-            for slot in row.iter_mut().skip(depth + 1) {
-                *slot = 0;
-            }
-            out.insert(&row);
-        } else {
-            visited.push((nx, next_phase));
-            extend_timed(
-                good,
-                bad,
-                model,
-                input_model,
-                r,
-                p,
-                depth + 1,
-                nx,
-                prefix,
-                visited,
-                out,
-            );
-            visited.pop();
-        }
-        prefix[depth] = 0;
-    }
-}
-
-/// Phase-aware variant of [`enumerate_lockstep`] for time-varying
-/// fault models. Unlike the shared-trajectory semantics, lockstep
-/// divergence survives deassertion: once the faulty machine's state
-/// differs from the good machine's, the pair keeps diverging under
-/// fault-free dynamics until the trajectories reconverge.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_lockstep_timed(
-    good: &TransitionTables,
-    bad: &TransitionTables,
-    model: FaultModel,
-    input_model: &InputModel,
-    r: usize,
-    p: usize,
-    start_pair: (u64, u64),
-    d1: u64,
-    pair1: (u64, u64),
-    out: &mut Collector,
-    footprint: &mut CodeFootprint,
-) {
-    if out.prefix_dominated(&[d1]) {
-        return;
-    }
-    if p == 1 || (pair1 == start_pair && model.phase_at(1) == model.phase_at(2)) {
-        let mut row = vec![0u64; p];
-        row[0] = d1;
-        out.insert(&row);
-        return;
-    }
-    let mut prefix = vec![0u64; p];
-    prefix[0] = d1;
-    let mut visited = vec![(start_pair, model.phase_at(1)), (pair1, model.phase_at(2))];
-    extend_lockstep_timed(
-        good,
-        bad,
-        model,
-        input_model,
-        r,
-        p,
-        1,
-        pair1,
-        &mut prefix,
-        &mut visited,
-        out,
-        footprint,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend_lockstep_timed(
-    good: &TransitionTables,
-    bad: &TransitionTables,
-    model: FaultModel,
-    input_model: &InputModel,
-    r: usize,
-    p: usize,
-    depth: usize,
-    pair: (u64, u64),
-    prefix: &mut Vec<u64>,
-    visited: &mut Vec<((u64, u64), u64)>,
-    out: &mut Collector,
-    footprint: &mut CodeFootprint,
-) {
-    let (g, f) = pair;
     // Recorded whether or not the fault is active at this step: an
     // inactive step reads the good tables at `f` directly.
     footprint.record(g, f);
     let step = depth + 1;
-    if g == f && model.dead_after(step) {
+    if g == f && clock.dead_after(step) {
         // Converged trajectories with the fault dead forever evolve
         // identically: the remaining differences are all zero.
         let row = prefix.clone();
         out.insert(&row);
         return;
     }
-    let active = model.active_at(step);
+    let active = clock.active_at(step);
+    let next_phase = clock.phase_at(step + 1);
     let mut seen_effects: HashSet<(u64, (u64, u64))> = HashSet::new();
+    // Inputs explored from the good-trajectory state's vantage: the
+    // STG structure of the fault-free machine defines "transitions".
     let mut inputs = Vec::new();
     input_model.inputs_at(g, r, &mut inputs);
     for input in inputs {
@@ -2340,7 +2201,6 @@ fn extend_lockstep_timed(
             prefix[depth] = 0;
             continue;
         }
-        let next_phase = model.phase_at(step + 1);
         if depth + 1 == p || visited.contains(&(nx, next_phase)) {
             let mut row = prefix.clone();
             for slot in row.iter_mut().skip(depth + 1) {
@@ -2349,10 +2209,10 @@ fn extend_lockstep_timed(
             out.insert(&row);
         } else {
             visited.push((nx, next_phase));
-            extend_lockstep_timed(
+            extend_lockstep(
                 good,
                 bad,
-                model,
+                clock,
                 input_model,
                 r,
                 p,
@@ -2441,8 +2301,8 @@ mod tests {
     fn degenerate_models_match_permanent_tensor_exactly() {
         // An SEU that never deasserts, an intermittent that fires every
         // step, and a zero-radius cluster are all the permanent model in
-        // disguise; the timed enumerators must reproduce the original
-        // tables bit for bit.
+        // disguise; under the `FaultModel` clock the enumerators must
+        // reproduce the `Always` clock's tables bit for bit.
         for semantics in [Semantics::FaultyTrajectory, Semantics::Lockstep] {
             for p in 1..=3 {
                 let permanent = build_model(p, semantics, FaultModel::PermanentStuckAt);

@@ -1,22 +1,36 @@
-//! Sparse ≡ dense engine differential battery (the tentpole's pin).
+//! The sparse analytic primitives against their row-major / dense
+//! oracle, plus the search's store, degradation and certification
+//! invariants.
 //!
-//! The bit-packed sparse engine (packed tensor columns, GF(2) case
-//! kernel, sparse-row simplex) must be indistinguishable from the
-//! original dense paths in every observable byte: `CircuitReport`
-//! fields, `ced-suite-report/1` documents, store keys (a dense rerun
-//! must *hit* artifacts a sparse run stored), degradation trails under
-//! forced ladder descent, and the independent certification chain —
-//! across fault models, job counts and warm/cold stores.
+//! Algorithm 1's search composes four sparse primitives: the
+//! sparse-row simplex, rounding verified on the packed case kernel, the
+//! kernel cover check and packed greedy scoring. Each has an
+//! independent twin that shares none of the packing or kernel code:
+//! the dense tableau simplex and the row-major `DetectabilityTable`
+//! queries. The oracle tests replay every feasibility query a search
+//! made through both and demand identical results, so the bit-packed
+//! path can never drift from the paper's definitions unnoticed.
 
-use ced_core::pipeline::{run_circuit, PipelineOptions};
-use ced_core::{run_suite, CedOptions, SolverEngine, SuiteControl, SuiteOptions};
+use ced_core::greedy::{greedy_cover, greedy_cover_with, GreedyOptions};
+use ced_core::pipeline::{
+    build_input_model, fault_list, prepare_machine, run_circuit, PipelineOptions,
+};
+use ced_core::round::{round_cover_with, RoundingOptions};
+use ced_core::{
+    build_relaxation_with_objective, minimize_parity_functions, run_suite, CedOptions,
+    DegradationReason, SearchOutcome, SuiteControl, SuiteOptions,
+};
 use ced_fsm::generator::{generate, scaled_workload};
 use ced_fsm::machine::Fsm;
 use ced_fsm::suite as bench;
 use ced_logic::gate::CellLibrary;
+use ced_lp::simplex::solve_budgeted;
+use ced_lp::sparse::solve_budgeted_sparse;
 use ced_par::ParExec;
 use ced_runtime::Budget;
+use ced_sim::detect::{DetectOptions, DetectabilityTable};
 use ced_sim::fault::FaultModel;
+use ced_sim::packed::SparseTables;
 use ced_store::Store;
 use std::sync::Arc;
 
@@ -37,7 +51,7 @@ fn scaled(name: &str) -> Fsm {
 /// under the independent verifier chain — on some seeds the greedy
 /// baseline beats the stochastic LP search and the certifier (rightly)
 /// refuses the result, a search-quality property orthogonal to the
-/// engine equivalence pinned here.
+/// oracle equivalence pinned here.
 fn corpus() -> Vec<(String, Fsm)> {
     let mut machines: Vec<(String, Fsm)> = MACHINES
         .iter()
@@ -48,14 +62,171 @@ fn corpus() -> Vec<(String, Fsm)> {
     machines
 }
 
-fn engine_options(engine: SolverEngine, fault_model: FaultModel) -> SuiteOptions {
-    let mut options = SuiteOptions {
-        latencies: LATENCIES.to_vec(),
-        ..SuiteOptions::default()
+/// The pipeline's dominance-reduced tensors for `fsm`, one per bound
+/// in [`LATENCIES`].
+fn tables(fsm: &Fsm, options: &PipelineOptions) -> Vec<DetectabilityTable> {
+    let (encoded, circuit) = prepare_machine(fsm, options).expect("synthesis");
+    let p_max = *LATENCIES.iter().max().unwrap();
+    DetectabilityTable::build_many(
+        &circuit,
+        &fault_list(&circuit, options),
+        &DetectOptions {
+            latency: p_max,
+            max_rows: options.max_rows,
+            semantics: options.semantics,
+            input_model: build_input_model(
+                encoded.fsm(),
+                encoded.encoding(),
+                options.input_granularity,
+            ),
+            reduce: true,
+            fault_model: options.fault_model,
+        },
+        &LATENCIES,
+    )
+    .expect("tensor")
+    .into_iter()
+    .map(|(table, _)| table)
+    .collect()
+}
+
+/// The rows the search puts in its first LP: all of them up to the
+/// row cap, else the `cap` rows with the fewest detecting
+/// `(bit, step)` opportunities (ties by index).
+fn first_lp_rows(table: &DetectabilityTable, cap: usize) -> Vec<usize> {
+    let mut scored: Vec<(u32, usize)> = table
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.steps.iter().map(|d| d.count_ones()).sum(), i))
+        .collect();
+    scored.sort_unstable();
+    scored.into_iter().take(cap).map(|(_, i)| i).collect()
+}
+
+/// Replays every feasibility query of `outcome` through the sparse
+/// primitives and the row-major / dense-tableau oracle, on the first-LP
+/// row set and on all rows: the full LP solution (iteration count
+/// included), rounding at the query's seed, the cover check and the
+/// greedy rung must agree exactly.
+fn assert_matches_oracle(
+    table: &DetectabilityTable,
+    options: &CedOptions,
+    outcome: &SearchOutcome,
+    context: &str,
+) {
+    let reduced = table.dominance_reduced().sorted_by_difficulty();
+    let sparse = SparseTables::build(&reduced);
+    let runtime = Budget::unlimited();
+    let all: Vec<usize> = (0..reduced.len()).collect();
+    let first = first_lp_rows(&reduced, options.lp_row_cap);
+    // Up to the row cap the first LP already holds every row.
+    let row_sets: &[&Vec<usize>] = if first.len() < all.len() {
+        &[&first, &all]
+    } else {
+        &[&all]
     };
-    options.pipeline.fault_model = fault_model;
-    options.pipeline.ced.engine = engine;
-    options
+    for (query, &(q, _)) in (1u64..).zip(&outcome.feasibility_trace) {
+        for rows in row_sets {
+            let relax =
+                build_relaxation_with_objective(&reduced, q, options.form, rows, options.objective);
+            let solved = solve_budgeted_sparse(&relax.lp, &runtime);
+            assert_eq!(
+                solved,
+                solve_budgeted(&relax.lp, &runtime),
+                "{context} q={q} rows={}",
+                rows.len()
+            );
+            let Ok(sol) = solved else { continue };
+            let betas = relax.fractional_betas(&sol.x);
+            let ropts = RoundingOptions {
+                iterations: options.iterations,
+                seed: options.seed.wrapping_add(query.wrapping_mul(0x9E37_79B9)),
+            };
+            assert_eq!(
+                round_cover_with(&reduced, Some(&sparse), q, &betas, &ropts),
+                round_cover_with(&reduced, None, q, &betas, &ropts),
+                "{context} q={q} rows={}",
+                rows.len()
+            );
+        }
+    }
+    let masks = &outcome.cover.masks;
+    assert_eq!(
+        sparse.all_covered(masks),
+        reduced.all_covered(masks),
+        "{context}"
+    );
+    let greedy = GreedyOptions {
+        seed: options.seed,
+        ..GreedyOptions::default()
+    };
+    assert_eq!(
+        greedy_cover_with(&reduced, Some(sparse.full()), &greedy),
+        greedy_cover(&reduced, &greedy),
+        "{context}"
+    );
+}
+
+/// Every fault-model family: the searches' sparse calls are
+/// reproduced exactly by the oracle.
+#[test]
+fn sparse_primitives_match_dense_oracle_across_fault_models() {
+    for (name, fsm) in corpus() {
+        for fault_model in [
+            FaultModel::PermanentStuckAt,
+            FaultModel::TransientSeu { duration: 4 },
+            FaultModel::Intermittent { period: 3 },
+            FaultModel::MultiBitCluster { radius: 1 },
+        ] {
+            let options = PipelineOptions {
+                fault_model,
+                ..PipelineOptions::paper_defaults()
+            };
+            for (table, p) in tables(&fsm, &options).iter().zip(LATENCIES) {
+                let outcome = minimize_parity_functions(table, &options.ced);
+                assert!(!outcome.feasibility_trace.is_empty(), "{name} p={p}");
+                assert_matches_oracle(
+                    table,
+                    &options.ced,
+                    &outcome,
+                    &format!("{name} {fault_model} p={p}"),
+                );
+            }
+        }
+    }
+}
+
+/// Forced ladder descent (rounding disabled, then a starved LP budget)
+/// records an honest trail, and the degraded searches' calls replay
+/// exactly under the oracle.
+#[test]
+fn forced_degradation_trails_replay_under_the_oracle() {
+    for (name, fsm) in corpus() {
+        for degrade in [
+            |c: &mut CedOptions| c.iterations = 0,
+            |c: &mut CedOptions| c.max_lp_solves = Some(1),
+        ] {
+            let mut options = PipelineOptions::paper_defaults();
+            degrade(&mut options.ced);
+            for (table, p) in tables(&fsm, &options).iter().zip(LATENCIES) {
+                let outcome = minimize_parity_functions(table, &options.ced);
+                let context = format!("{name} p={p} {:?}", options.ced);
+                assert!(table.all_covered(&outcome.cover.masks), "{context}");
+                if options.ced.iterations == 0 {
+                    assert!(
+                        outcome
+                            .degradation
+                            .iter()
+                            .any(|e| e.reason == DegradationReason::RoundingDisabled),
+                        "{context}: {:?}",
+                        outcome.degradation
+                    );
+                }
+                assert_matches_oracle(table, &options.ced, &outcome, &context);
+            }
+        }
+    }
 }
 
 /// Replaces the `"jobs":N` header token (the only part of a suite
@@ -87,47 +258,26 @@ fn suite_json(
     )
 }
 
-/// The tentpole matrix: for every fault-model family, the full suite
-/// document is byte-identical between the sparse (default) and dense
-/// engines.
+/// A `--jobs 1` cold run populates the store; a `--jobs 4` rerun hits
+/// every search key it stored without a miss, and every run returns
+/// the storeless bytes.
 #[test]
-fn suite_reports_identical_sparse_vs_dense_across_fault_models() {
+fn store_keys_shared_across_job_counts() {
     let machines = corpus();
-    for fault_model in [
-        FaultModel::PermanentStuckAt,
-        FaultModel::TransientSeu { duration: 4 },
-        FaultModel::Intermittent { period: 3 },
-        FaultModel::MultiBitCluster { radius: 1 },
-    ] {
-        let sparse = suite_json(
-            &machines,
-            &engine_options(SolverEngine::Sparse, fault_model),
-            None,
-            None,
-        );
-        let dense = suite_json(
-            &machines,
-            &engine_options(SolverEngine::Dense, fault_model),
-            None,
-            None,
-        );
-        assert_eq!(sparse, dense, "fault model {fault_model}");
-    }
-}
-
-/// Engine choice is invisible to the store: a sparse cold run populates
-/// the cache, and a *dense* rerun must hit the same search keys (the
-/// engine is deliberately excluded from the fingerprint), returning the
-/// same bytes — and vice versa. Runs span `--jobs 1` and `--jobs 4`.
-#[test]
-fn store_keys_shared_between_engines_across_job_counts() {
-    let machines = corpus();
-    let sparse_opts = engine_options(SolverEngine::Sparse, FaultModel::PermanentStuckAt);
-    let dense_opts = engine_options(SolverEngine::Dense, FaultModel::PermanentStuckAt);
+    let options = SuiteOptions {
+        latencies: LATENCIES.to_vec(),
+        ..SuiteOptions::default()
+    };
+    let storeless = suite_json(&machines, &options, None, None);
 
     let store = Arc::new(Store::in_memory());
-    let cold_sparse = suite_json(&machines, &sparse_opts, None, Some(Arc::clone(&store)));
-    let search_puts = |s: &Store| {
+    let cold = suite_json(
+        &machines,
+        &options,
+        Some(&ParExec::new(1)),
+        Some(Arc::clone(&store)),
+    );
+    let search_counters = |s: &Store| {
         s.stats()
             .stages
             .iter()
@@ -135,71 +285,36 @@ fn store_keys_shared_between_engines_across_job_counts() {
             .map(|(_, c)| (c.hits, c.misses, c.puts))
             .unwrap_or_default()
     };
-    let (_, _, puts) = search_puts(&store);
-    assert!(puts > 0, "cold sparse run must store search artifacts");
+    let (hits_before, misses_before, puts) = search_counters(&store);
+    assert!(puts > 0, "cold run must store search artifacts");
 
-    let (hits_before, misses_before, _) = search_puts(&store);
-    let warm_dense = suite_json(
+    let warm = suite_json(
         &machines,
-        &dense_opts,
+        &options,
         Some(&ParExec::new(4)),
         Some(Arc::clone(&store)),
     );
-    let (hits_after, misses_after, _) = search_puts(&store);
+    let (hits_after, misses_after, _) = search_counters(&store);
     assert!(
         hits_after > hits_before,
-        "dense rerun must hit the sparse run's search artifacts"
+        "jobs-4 rerun must hit the jobs-1 run's search artifacts"
     );
     assert_eq!(
         misses_after, misses_before,
-        "dense rerun must not miss any search artifact the sparse run stored"
-    );
-    let warm_sparse = suite_json(
-        &machines,
-        &sparse_opts,
-        Some(&ParExec::new(1)),
-        Some(Arc::clone(&store)),
+        "jobs-4 rerun must not miss any search artifact the jobs-1 run stored"
     );
 
-    assert_eq!(cold_sparse, warm_dense, "sparse cold vs dense warm");
-    assert_eq!(cold_sparse, warm_sparse, "sparse cold vs sparse warm");
+    assert_eq!(storeless, cold, "storeless vs cold jobs 1");
+    assert_eq!(storeless, warm, "storeless vs warm jobs 4");
 }
 
-/// Forced ladder descent (rounding disabled, then a starved LP budget)
-/// must produce identical `DegradationEvent` trails and final covers
-/// under both engines, machine by machine.
-#[test]
-fn degradation_trails_identical_under_both_engines() {
-    let lib = CellLibrary::new();
-    for (name, fsm) in corpus() {
-        for degrade in [
-            |c: &mut CedOptions| c.iterations = 0,
-            |c: &mut CedOptions| c.max_lp_solves = Some(1),
-        ] {
-            let mut sparse_opts = PipelineOptions::paper_defaults();
-            degrade(&mut sparse_opts.ced);
-            let mut dense_opts = sparse_opts.clone();
-            dense_opts.ced.engine = SolverEngine::Dense;
-
-            let sparse = run_circuit(&fsm, &LATENCIES, &sparse_opts, &lib).expect("pipeline");
-            let dense = run_circuit(&fsm, &LATENCIES, &dense_opts, &lib).expect("pipeline");
-            for (a, b) in sparse.latencies.iter().zip(&dense.latencies) {
-                assert_eq!(a.cover.masks, b.cover.masks, "{name} p={}", a.latency);
-                assert_eq!(a.method, b.method, "{name} p={}", a.latency);
-                assert_eq!(a.degradation, b.degradation, "{name} p={}", a.latency);
-            }
-        }
-    }
-}
-
-/// Independent cross-check: covers produced by the sparse engine
-/// certify under the BFS/rational verifier chain, which shares no code
-/// with the packed representation or the kernel reduction.
+/// Independent cross-check: covers produced by the search certify
+/// under the BFS/rational verifier chain, which shares no code with
+/// the packed representation or the kernel reduction.
 #[test]
 fn sparse_engine_covers_certify_independently() {
     let lib = CellLibrary::new();
     let options = PipelineOptions::paper_defaults();
-    assert_eq!(options.ced.engine, SolverEngine::Sparse, "sparse default");
     for (name, fsm) in corpus() {
         let report = run_circuit(&fsm, &LATENCIES, &options, &lib).expect("pipeline");
         let cert = ced_cert::certify_report(
