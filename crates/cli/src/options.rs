@@ -3,8 +3,10 @@
 use ced_core::pipeline::{InputGranularity, PipelineOptions};
 use ced_fsm::encoding::EncodingStrategy;
 use ced_fsm::machine::Fsm;
+use ced_serve::{OpKind, OpRequest};
 use ced_sim::detect::Semantics;
 use ced_sim::fault::FaultModel;
+use std::time::Duration;
 
 /// Parsed common options plus the machine they apply to.
 pub struct Parsed {
@@ -37,7 +39,7 @@ pub struct Parsed {
     /// run progresses.
     pub checkpoint: Option<String>,
     /// `--deadline-ms N`: wall-clock budget for the run.
-    pub deadline_ms: Option<u64>,
+    pub deadline: Option<Duration>,
     /// `--ticks N`: work-tick budget for the run.
     pub ticks: Option<u64>,
     /// `--out <path>`: write the structured report here instead of
@@ -60,6 +62,26 @@ pub struct Parsed {
     pub baseline: Option<Fsm>,
 }
 
+impl Parsed {
+    /// The `ced_serve::ops` request these flags describe — the one
+    /// translation from flags to a request. The machine itself travels
+    /// as [`Parsed::fsm`], so `kiss2` stays empty.
+    pub fn request(&self, kind: OpKind) -> OpRequest {
+        OpRequest {
+            kind,
+            kiss2: String::new(),
+            latency: self.latency,
+            latencies: self.latencies.clone(),
+            options: self.options.clone(),
+            seed: self.seed,
+            steps: self.steps,
+            checker_faults: self.checker_faults,
+            baseline: None,
+            baseline_fp: None,
+        }
+    }
+}
+
 /// Parses `<file> [flags…]`.
 ///
 /// # Errors
@@ -79,7 +101,7 @@ pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
     let mut quiet = false;
     let mut resume = None;
     let mut checkpoint = None;
-    let mut deadline_ms = None;
+    let mut deadline = None;
     let mut ticks = None;
     let mut out = None;
     let mut jobs = ced_par::ParExec::available().jobs();
@@ -177,12 +199,12 @@ pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
                 checkpoint = Some(it.next().ok_or("--checkpoint needs a file path")?.clone());
             }
             "--deadline-ms" => {
-                deadline_ms = Some(
+                deadline = Some(Duration::from_millis(
                     it.next()
                         .ok_or("--deadline-ms needs a number")?
                         .parse()
                         .map_err(|_| "--deadline-ms needs a number")?,
-                );
+                ));
             }
             "--ticks" => {
                 ticks = Some(
@@ -246,7 +268,7 @@ pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
         quiet,
         resume,
         checkpoint,
-        deadline_ms,
+        deadline,
         ticks,
         out,
         jobs,
@@ -334,7 +356,7 @@ pub fn parse_suite(args: &[String]) -> Result<SuiteArgs, Box<dyn std::error::Err
                     .ok_or("--deadline-ms needs a number")?
                     .parse()
                     .map_err(|_| "--deadline-ms needs a number")?;
-                options.machine_deadline = Some(std::time::Duration::from_millis(ms));
+                options.machine_deadline = Some(Duration::from_millis(ms));
             }
             "--ticks" => {
                 options.machine_ticks = Some(

@@ -1,5 +1,8 @@
 //! End-to-end tests of the `ced` binary via `CARGO_BIN_EXE`.
 
+use ced_par::ParExec;
+use ced_runtime::Budget;
+use ced_serve::{OpError, OpKind, OpRequest};
 use std::io::Write;
 use std::process::Command;
 
@@ -15,10 +18,22 @@ const MACHINE: &str = "\
 .e
 ";
 
-fn write_machine() -> tempfile::TempPath {
+fn write_kiss2(text: &str) -> tempfile::TempPath {
     let mut f = tempfile::NamedTempFile::new().expect("temp file");
-    f.write_all(MACHINE.as_bytes()).expect("write");
+    f.write_all(text.as_bytes()).expect("write");
     f.into_temp_path()
+}
+
+fn write_machine() -> tempfile::TempPath {
+    write_kiss2(MACHINE)
+}
+
+/// `ced gen --scale 2 --seed 1`, written to a temp file: a 30-state
+/// machine the paper suite never saw.
+fn write_generated_machine() -> tempfile::TempPath {
+    let out = ced(&["gen", "--scale", "2", "--seed", "1"]);
+    assert!(out.status.success());
+    write_kiss2(&String::from_utf8(out.stdout).expect("KISS2 is UTF-8"))
 }
 
 fn ced(args: &[&str]) -> std::process::Output {
@@ -341,6 +356,140 @@ fn corrupt_resume_checkpoint_recomputes_with_warning() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("warning: checkpoint"), "stderr: {err}");
     assert!(err.contains("recomputing from scratch"), "stderr: {err}");
+}
+
+/// Runs `ced <args> --jobs <jobs>` and asserts its stdout is exactly
+/// `tests/golden/<golden>` (with `@VERSION@` and `@JOBS@` filled in)
+/// and its exit code is `code`.
+fn assert_golden(args: &[&str], jobs: &str, golden: &str, code: i32) {
+    let path = format!("{}/tests/golden/{golden}", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+        .replace("@VERSION@", env!("CARGO_PKG_VERSION"))
+        .replace("@JOBS@", jobs);
+    let args: Vec<&str> = args.iter().copied().chain(["--jobs", jobs]).collect();
+    let out = ced(&args);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        expected,
+        "ced {args:?}"
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "ced {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// `certify` and `inject --campaign` print pinned bytes at every job
+/// count. The generated machine's certification is a live refutation
+/// (at p = 1 the independent greedy needs fewer masks than the shipped
+/// cover), so it exits 3.
+#[test]
+fn certify_and_campaign_output_is_pinned() {
+    let machine = write_machine();
+    let generated = write_generated_machine();
+    let cases = [
+        (machine.to_str().unwrap(), "machine", 0),
+        (generated.to_str().unwrap(), "gen2", 3),
+    ];
+    for (path, name, certify_code) in cases {
+        for jobs in ["1", "4"] {
+            assert_golden(
+                &["certify", path, "--latencies", "1,2"],
+                jobs,
+                &format!("certify-{name}.txt"),
+                certify_code,
+            );
+            assert_golden(
+                &["inject", path, "--campaign", "--latency", "2"],
+                jobs,
+                &format!("inject-{name}.txt"),
+                0,
+            );
+        }
+    }
+}
+
+/// `suite --certify` prints the pinned suite report plus the
+/// certification document; only the `jobs` header token moves.
+#[test]
+fn suite_certify_output_is_pinned() {
+    for jobs in ["1", "4"] {
+        assert_golden(
+            &[
+                "suite",
+                "--machines",
+                "s27,tav",
+                "--scaled",
+                "--certify",
+                "--latencies",
+                "1,2",
+            ],
+            jobs,
+            "suite-certify.jsonl",
+            0,
+        );
+    }
+}
+
+/// A tick cap the pipeline fits under but certification does not is a
+/// budget interrupt like any other: `ops::certify` returns it typed and
+/// `ced certify` exits 4 (cancelled), not 1 (error).
+#[test]
+fn certify_interrupted_after_the_pipeline_exits_cancelled() {
+    use ced_core::pipeline::{run_circuit_controlled, PipelineControl};
+
+    let path = write_machine();
+    let fsm = ced_fsm::kiss::parse(MACHINE).expect("test machine parses");
+    let request = OpRequest {
+        latencies: vec![1, 2],
+        ..OpRequest::new(OpKind::Certify, MACHINE)
+    };
+    let pool = ParExec::new(1);
+    let counting = Budget::new();
+    run_circuit_controlled(
+        &fsm,
+        &request.latencies,
+        &request.options,
+        &ced_logic::gate::CellLibrary::new(),
+        PipelineControl {
+            pool: Some(&pool),
+            ..PipelineControl::new(&counting)
+        },
+    )
+    .expect("an uncapped pipeline finishes");
+    let pipeline_ticks = counting.ticks();
+    let cap = pipeline_ticks + pipeline_ticks / 100 + 1;
+
+    let capped = Budget::new().with_tick_cap(cap);
+    match ced_serve::ops::certify(&fsm, &request, &capped, &pool, None) {
+        Err(OpError::Interrupted(i)) => assert!(
+            i.progress.ticks > pipeline_ticks,
+            "the interrupt must come after the pipeline finished: {i}"
+        ),
+        Err(e) => panic!("expected a typed interrupt, got: {e}"),
+        Ok(_) => panic!("certification cannot finish under {cap} ticks"),
+    }
+
+    let cap = cap.to_string();
+    let out = ced(&[
+        "certify",
+        path.to_str().unwrap(),
+        "--latencies",
+        "1,2",
+        "--jobs",
+        "1",
+        "--ticks",
+        &cap,
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// Minimal stand-in for the `tempfile` crate (not in the allowed

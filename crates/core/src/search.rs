@@ -239,29 +239,21 @@ pub fn minimize_parity_functions(
     table: &DetectabilityTable,
     options: &CedOptions,
 ) -> SearchOutcome {
-    minimize_with_incumbent(table, options, None)
-}
-
-/// [`minimize_parity_functions`] seeded with a known-good cover.
-///
-/// A cover verified for latency `p` remains valid at any larger bound
-/// (every longer row's prefix options are a superset), so the
-/// per-latency sweep threads each bound's result into the next —
-/// guaranteeing the reported `q` is non-increasing in `p` even though
-/// the rounding oracle is stochastic. An incumbent that fails
-/// verification is ignored.
-pub fn minimize_with_incumbent(
-    table: &DetectabilityTable,
-    options: &CedOptions,
-    incumbent: Option<&ParityCover>,
-) -> SearchOutcome {
-    match minimize_interruptible(table, options, incumbent, &RtBudget::unlimited()) {
+    match minimize_interruptible(table, options, None, &RtBudget::unlimited()) {
         Ok(outcome) => outcome,
         Err(_) => unreachable!("an unlimited budget cannot interrupt"),
     }
 }
 
-/// [`minimize_with_incumbent`] under a runtime [`RtBudget`].
+/// [`minimize_parity_functions`] seeded with a known-good cover, under
+/// a runtime [`RtBudget`].
+///
+/// A cover verified for latency `p` remains valid at any larger bound
+/// (every longer row's prefix options are a superset), so the
+/// per-latency sweep threads each bound's result into the next as the
+/// `incumbent` — guaranteeing the reported `q` is non-increasing in
+/// `p` even though the rounding oracle is stochastic. An incumbent
+/// that fails verification is ignored.
 ///
 /// The two budget families compose rather than compete:
 ///
@@ -955,7 +947,13 @@ mod tests {
         // Feed the known optimum as incumbent; the search should keep
         // (or re-derive) a q=2 cover.
         let inc = ParityCover::new(vec![0b01, 0b10]);
-        let out = minimize_with_incumbent(&t, &CedOptions::default(), Some(&inc));
+        let out = minimize_interruptible(
+            &t,
+            &CedOptions::default(),
+            Some(&inc),
+            &RtBudget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(out.q, 2);
         assert!(t.all_covered(&out.cover.masks));
     }

@@ -2,8 +2,9 @@
 //!
 //! `run_suite` drives the full pipeline across many FSMs the way the
 //! paper's §5 experiment runs Table 1 — but built to survive the
-//! machines it cannot finish. Each machine runs in its own worker
-//! thread (panics are captured, not fatal), under its own [`Budget`]
+//! machines it cannot finish. Each machine runs as a task on a named
+//! worker pool (panics are captured per attempt, not fatal), under its
+//! own [`Budget`]
 //! (per-machine deadline and/or tick cap). A machine that fails or
 //! exhausts its budget is retried once with degraded pipeline options
 //! — transition-cube input granularity and collapsed faults, the same
@@ -36,8 +37,8 @@ use std::time::Duration;
 /// [`ced_runtime::encode_checkpoint`]).
 pub const SUITE_CHECKPOINT_KIND: u16 = 2;
 
-/// Name given to per-machine worker threads; the suite panic hook uses
-/// it to keep captured worker panics off stderr.
+/// Name given to the suite's pool worker threads; the suite panic hook
+/// uses it to keep captured attempt panics off stderr.
 const WORKER_THREAD_NAME: &str = "ced-suite";
 
 /// Configuration of a suite campaign.
@@ -512,19 +513,17 @@ pub struct SuiteControl<'a> {
     /// Called after every finished machine.
     pub on_progress: Option<ProgressSink<'a>>,
     /// Worker pool for the machine loop: machines run as pool tasks
-    /// (attempt isolation by per-item panic capture instead of a
-    /// dedicated thread per attempt), their records merged in input
-    /// order, so the report is byte-identical to the serial loop at
-    /// every job count. `None` keeps the serial
-    /// thread-per-attempt loop. Machine-level parallelism deliberately
-    /// does not nest: pooled suite workers run their pipelines with a
-    /// serial build, so the thread count stays bounded by the pool.
+    /// (attempt isolation by per-attempt panic capture), their records
+    /// merged in input order, so the report is byte-identical at every
+    /// job count. `None` is a one-worker pool. Machine-level
+    /// parallelism deliberately does not nest: suite workers run their
+    /// pipelines with a serial build, so the thread count stays
+    /// bounded by the pool.
     pub pool: Option<&'a ParExec>,
-    /// Content-addressed artifact store shared by every attempt (and
-    /// every pool worker — `Arc` because attempts run on their own
-    /// threads). First-writer-wins puts keyed by content fingerprints
-    /// make concurrent workers order-insensitive, so the report stays
-    /// byte-identical at every job count, warm or cold.
+    /// Content-addressed artifact store shared by every attempt and
+    /// every pool worker. First-writer-wins puts keyed by content
+    /// fingerprints make concurrent workers order-insensitive, so the
+    /// report stays byte-identical at every job count, warm or cold.
     pub store: Option<Arc<Store>>,
 }
 
@@ -620,19 +619,19 @@ pub fn suite_fingerprint(machines: &[(String, Fsm)], options: &SuiteOptions) -> 
     fnv1a64(&w.finish())
 }
 
-/// The pipeline attempt body: per-attempt budget assembly plus the
-/// run itself, with no isolation — callers wrap it in a dedicated
-/// thread ([`run_attempt`]) or a per-item panic net
-/// ([`run_attempt_pooled`]).
-fn attempt_body(
+/// Runs one pipeline attempt under its per-attempt budget, inline on
+/// the calling suite pool worker, capturing panics and budget
+/// interrupts. The worker carries [`WORKER_THREAD_NAME`], so the suite
+/// panic hook keeps a captured panic off stderr, and a panicking
+/// attempt poisons nothing — the worker resumes with the next machine.
+fn run_pipeline_attempt(
     fsm: &Fsm,
-    latencies: &[usize],
     pipeline: &PipelineOptions,
     library: &CellLibrary,
     options: &SuiteOptions,
     cancel: &CancelToken,
     store: Option<&Store>,
-) -> Result<CircuitReport, PipelineError> {
+) -> AttemptOutcome {
     let mut budget = Budget::new().with_cancel(cancel.clone());
     if let Some(d) = options.machine_deadline {
         budget = budget.with_deadline(d);
@@ -642,14 +641,10 @@ fn attempt_body(
     }
     let mut control = PipelineControl::new(&budget);
     control.store = store;
-    run_circuit_controlled(fsm, latencies, pipeline, library, control)
-}
-
-/// Classifies a joined/caught attempt result into an outcome record.
-fn classify_attempt(
-    joined: Result<Result<CircuitReport, PipelineError>, Box<dyn std::any::Any + Send>>,
-) -> AttemptOutcome {
-    match joined {
+    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_circuit_controlled(fsm, &options.latencies, pipeline, library, control)
+    }));
+    match caught {
         Ok(Ok(report)) => AttemptOutcome::Done(report),
         Ok(Err(PipelineError::Interrupted(pi))) => {
             let mut progress = Vec::new();
@@ -667,64 +662,6 @@ fn classify_attempt(
         Ok(Err(e)) => AttemptOutcome::Failed(e.to_string()),
         Err(payload) => AttemptOutcome::Failed(format!("panic: {}", panic_message(&*payload))),
     }
-}
-
-/// Runs one pipeline attempt in a named worker thread, capturing
-/// panics and budget interrupts.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    name: &str,
-    fsm: &Fsm,
-    latencies: &[usize],
-    pipeline: &PipelineOptions,
-    library: &CellLibrary,
-    options: &SuiteOptions,
-    cancel: &CancelToken,
-    store: Option<&Arc<Store>>,
-) -> AttemptOutcome {
-    let fsm = fsm.clone();
-    let latencies = latencies.to_vec();
-    let pipeline = pipeline.clone();
-    let library = library.clone();
-    let options = options.clone();
-    let cancel = cancel.clone();
-    let store = store.cloned();
-    let handle = std::thread::Builder::new()
-        .name(WORKER_THREAD_NAME.into())
-        .spawn(move || {
-            attempt_body(
-                &fsm,
-                &latencies,
-                &pipeline,
-                &library,
-                &options,
-                &cancel,
-                store.as_deref(),
-            )
-        })
-        .unwrap_or_else(|e| panic!("spawning worker for {name}: {e}"));
-    classify_attempt(handle.join())
-}
-
-/// Runs one pipeline attempt inline on the current (pool) thread,
-/// catching panics per attempt instead of spending a thread on the
-/// isolation. Panic quarantine semantics are identical to
-/// [`run_attempt`]: the pool's workers carry [`WORKER_THREAD_NAME`],
-/// so the suite panic hook keeps captured panics off stderr, and a
-/// panicking attempt poisons nothing — the worker resumes with the
-/// next machine.
-fn run_attempt_pooled(
-    fsm: &Fsm,
-    latencies: &[usize],
-    pipeline: &PipelineOptions,
-    library: &CellLibrary,
-    options: &SuiteOptions,
-    cancel: &CancelToken,
-    store: Option<&Store>,
-) -> AttemptOutcome {
-    classify_attempt(std::panic::catch_unwind(AssertUnwindSafe(|| {
-        attempt_body(fsm, latencies, pipeline, library, options, cancel, store)
-    })))
 }
 
 fn render_record(
@@ -765,101 +702,54 @@ fn finish_record(
 }
 
 /// Runs one machine to a final record, or returns the cancellation
-/// that aborted it. Budget exhaustion (deadline/tick cap) degrades and
-/// then quarantines; only cancellation stops the campaign.
+/// that aborted it: the requested options first, then (when allowed)
+/// one retry under the degraded options. Budget exhaustion
+/// (deadline/tick cap) degrades and then quarantines; only
+/// cancellation stops the campaign.
 fn run_machine(
     name: &str,
     fsm: &Fsm,
     options: &SuiteOptions,
     library: &CellLibrary,
     cancel: &CancelToken,
-    pooled: bool,
-    store: Option<&Arc<Store>>,
+    store: Option<&Store>,
 ) -> Result<MachineRecord, Interrupted> {
-    let attempt = |pipeline: &PipelineOptions| {
-        if pooled {
-            run_attempt_pooled(
-                fsm,
-                &options.latencies,
-                pipeline,
-                library,
-                options,
-                cancel,
-                store.map(Arc::as_ref),
-            )
-        } else {
-            run_attempt(
-                name,
-                fsm,
-                &options.latencies,
-                pipeline,
-                library,
-                options,
-                cancel,
-                store,
-            )
-        }
-    };
-    let mut notes = Vec::new();
-    let mut attempts = 1;
-    match attempt(&options.pipeline) {
-        AttemptOutcome::Done(report) => {
-            let ladder = degradation_notes(&report);
-            let status = if ladder.is_empty() {
-                MachineStatus::Completed
-            } else {
-                MachineStatus::Degraded
-            };
-            notes.extend(ladder);
-            return Ok(finish_record(name, status, attempts, notes, Some(&report)));
-        }
-        AttemptOutcome::Interrupted(i, progress) => {
-            if i.kind == InterruptKind::Cancelled {
-                return Err(i);
-            }
-            let mut note = format!(
-                "attempt 1: interrupted by budget ({:?} at {})",
-                i.kind, i.progress.stage
-            );
-            if !progress.is_empty() {
-                note.push_str(&format!("; {}", progress.join(", ")));
-            }
-            notes.push(note);
-        }
-        AttemptOutcome::Failed(msg) => {
-            if cancel.is_cancelled() {
-                // A panic racing the cancel: honor the cancellation.
-                return Err(cancel_interrupt(cancel));
-            }
-            notes.push(format!("attempt 1: {msg}"));
-        }
-    }
-
     let degraded = degraded_pipeline(&options.pipeline);
     let already_degraded = degraded.input_granularity == options.pipeline.input_granularity
         && degraded.full_fault_list == options.pipeline.full_fault_list;
-    if options.retry_degraded && !already_degraded {
-        attempts = 2;
-        notes.push(
-            "retrying with degraded options (transition-cube inputs, collapsed faults)".into(),
-        );
-        match attempt(&degraded) {
+    let mut notes = Vec::new();
+    let mut attempts = 0;
+    for pipeline in [&options.pipeline, &degraded] {
+        if attempts == 1 {
+            if !options.retry_degraded {
+                break;
+            }
+            if already_degraded {
+                notes.push("degraded options identical to requested options; no retry".into());
+                break;
+            }
+            notes.push(
+                "retrying with degraded options (transition-cube inputs, collapsed faults)".into(),
+            );
+        }
+        attempts += 1;
+        match run_pipeline_attempt(fsm, pipeline, library, options, cancel, store) {
             AttemptOutcome::Done(report) => {
-                notes.extend(degradation_notes(&report));
-                return Ok(finish_record(
-                    name,
-                    MachineStatus::Degraded,
-                    attempts,
-                    notes,
-                    Some(&report),
-                ));
+                let ladder = degradation_notes(&report);
+                let status = if attempts == 1 && ladder.is_empty() {
+                    MachineStatus::Completed
+                } else {
+                    MachineStatus::Degraded
+                };
+                notes.extend(ladder);
+                return Ok(finish_record(name, status, attempts, notes, Some(&report)));
             }
             AttemptOutcome::Interrupted(i, progress) => {
                 if i.kind == InterruptKind::Cancelled {
                     return Err(i);
                 }
                 let mut note = format!(
-                    "attempt 2: interrupted by budget ({:?} at {})",
+                    "attempt {attempts}: interrupted by budget ({:?} at {})",
                     i.kind, i.progress.stage
                 );
                 if !progress.is_empty() {
@@ -869,13 +759,12 @@ fn run_machine(
             }
             AttemptOutcome::Failed(msg) => {
                 if cancel.is_cancelled() {
+                    // A panic racing the cancel: honor the cancellation.
                     return Err(cancel_interrupt(cancel));
                 }
-                notes.push(format!("attempt 2: {msg}"));
+                notes.push(format!("attempt {attempts}: {msg}"));
             }
         }
-    } else if options.retry_degraded {
-        notes.push("degraded options identical to requested options; no retry".into());
     }
 
     Ok(finish_record(
@@ -885,6 +774,16 @@ fn run_machine(
         notes,
         None,
     ))
+}
+
+/// The pool the machine loop runs on: the caller's, or one worker when
+/// none is given, with its workers named [`WORKER_THREAD_NAME`] (the
+/// name also forces a single worker off the caller's thread, so the
+/// panic hook sees every attempt).
+fn suite_pool(pool: Option<&ParExec>) -> ParExec {
+    pool.cloned()
+        .unwrap_or_else(ParExec::serial)
+        .with_thread_name(WORKER_THREAD_NAME)
 }
 
 /// A typed cancellation interrupt for suite-level control flow (e.g.
@@ -948,13 +847,16 @@ pub fn run_suite(
     // The pool runs machines as tasks; its streaming ordered merge
     // consumes finished records in input order as soon as their prefix
     // is complete, so per-machine checkpoints and progress heartbeats
-    // fire mid-campaign exactly like the serial loop's. Pool workers
-    // carry the suite worker thread name (panic-hook quarantine), and
-    // `None` preserves the serial thread-per-attempt loop verbatim.
-    let suite_pool = control
-        .pool
-        .map(|p| p.clone().with_thread_name(WORKER_THREAD_NAME));
+    // fire mid-campaign. A cancel stops the campaign at the first
+    // machine boundary the merge reaches after it: records workers
+    // finished past that point are dropped, so the checkpoint is the
+    // same prefix at every job count.
+    let mut cancelled_between_machines = false;
     let mut consume = |record: MachineRecord| {
+        if cancel.is_cancelled() {
+            cancelled_between_machines = true;
+            return;
+        }
         records.push(record);
         let checkpoint = SuiteCheckpoint::new(fingerprint, jobs, records.clone());
         if let Some(sink) = on_checkpoint.as_mut() {
@@ -965,26 +867,24 @@ pub fn run_suite(
         }
     };
     let store = control.store.take();
-    let outcome: Result<(), Interrupted> = match &suite_pool {
-        Some(pool) => pool.for_each_ordered(
+    let outcome = suite_pool(control.pool)
+        .for_each_ordered(
             remaining,
             |_, (name, fsm)| {
                 if cancel.is_cancelled() {
                     return Err(cancel_interrupt(&cancel));
                 }
-                run_machine(name, fsm, options, library, &cancel, true, store.as_ref())
+                run_machine(name, fsm, options, library, &cancel, store.as_deref())
             },
             |_, record| consume(record),
-        ),
-        None => remaining.iter().try_for_each(|(name, fsm)| {
-            if cancel.is_cancelled() {
-                return Err(cancel_interrupt(&cancel));
+        )
+        .and_then(|()| {
+            if cancelled_between_machines {
+                Err(cancel_interrupt(&cancel))
+            } else {
+                Ok(())
             }
-            let record = run_machine(name, fsm, options, library, &cancel, false, store.as_ref())?;
-            consume(record);
-            Ok(())
-        }),
-    };
+        });
 
     match outcome {
         Ok(()) => Ok(SuiteReport {
@@ -1043,10 +943,10 @@ pub fn corpus_units(machines: &[(String, Fsm)]) -> Vec<CorpusUnit> {
 }
 
 /// Runs a single corpus unit to its final record — the fleet worker's
-/// inner loop. Identical semantics to one iteration of the serial
-/// [`run_suite`] machine loop (dedicated worker thread, panic capture,
-/// budget, degraded retry, quarantine), so records produced by
-/// separate worker processes merge byte-identically with a
+/// inner loop. The machine runs exactly as one task of the
+/// [`run_suite`] machine loop (on a one-worker named pool, with panic
+/// capture, budget, degraded retry and quarantine), so records
+/// produced by separate worker processes merge byte-identically with a
 /// single-process campaign.
 ///
 /// # Errors
@@ -1062,7 +962,10 @@ pub fn run_suite_unit(
     store: Option<&Arc<Store>>,
 ) -> Result<MachineRecord, Interrupted> {
     install_suite_panic_hook();
-    run_machine(name, fsm, options, library, cancel, false, store)
+    let mut records = suite_pool(None).try_map(&[fsm], |_, fsm| {
+        run_machine(name, fsm, options, library, cancel, store.map(Arc::as_ref))
+    })?;
+    Ok(records.pop().expect("one unit, one record"))
 }
 
 /// Builds a quarantined record for a unit no worker survived — the

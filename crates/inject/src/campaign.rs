@@ -184,7 +184,16 @@ pub fn run_campaign(
     faults: &[Fault],
     options: &CampaignOptions,
 ) -> Result<CampaignReport, DetectError> {
-    match run_campaign_budgeted(circuit, ced, faults, options, &Budget::unlimited()) {
+    let unlimited = Budget::unlimited();
+    match run_campaign_stored(
+        circuit,
+        ced,
+        faults,
+        options,
+        &unlimited,
+        &ParExec::serial(),
+        None,
+    ) {
         Ok(report) => Ok(report),
         Err(CampaignError::Detect(e)) => Err(e),
         Err(CampaignError::Interrupted { .. }) => {
@@ -193,11 +202,32 @@ pub fn run_campaign(
     }
 }
 
-/// [`run_campaign`] under a [`Budget`]: one tick per injected fault
-/// (plus the ticks its per-fault tensor construction charges), checked
-/// at every fault boundary. An interrupted campaign returns the
-/// outcomes judged so far as a typed partial result — campaigns are
-/// restartable per fault, not resumable mid-fault.
+/// [`run_campaign`] under a [`Budget`], on a worker pool, with an
+/// optional content-addressed artifact store.
+///
+/// The budget is charged one tick per injected fault (plus the ticks
+/// its per-fault tensor construction charges) and checked at every
+/// fault boundary. An interrupted campaign returns the outcomes judged
+/// so far as a typed partial result — campaigns are restartable per
+/// fault, not resumable mid-fault.
+///
+/// Faults are judged in parallel (each judgement — analytic verdict,
+/// per-fault tables, the checker-in-the-loop drive — is pure and
+/// carries its own deterministic seed), then folded into the campaign
+/// accumulator in fault-index order. The report is byte-identical to
+/// the serial run at every job count; an interrupt surfaces the
+/// lowest-index interrupted fault with the outcomes of every fault
+/// before it, and the pool drains (no fault above the interrupt index
+/// is started once it is known).
+///
+/// Each fault's analytic-verdict tensor (an exhaustive single-fault
+/// detectability table) is memoized under the shared `tensor` stage,
+/// so a repeat campaign — or one that follows a pipeline run over the
+/// same circuit — skips the per-fault enumeration. The
+/// checker-in-the-loop drives are never cached (they are the
+/// operational evidence the campaign exists to collect), so a hit
+/// cannot change any verdict: the tensor stage replays bytes a prior
+/// build proved identical to a recompute.
 ///
 /// # Errors
 ///
@@ -207,62 +237,7 @@ pub fn run_campaign(
 /// # Panics
 ///
 /// As [`run_campaign`].
-pub fn run_campaign_budgeted(
-    circuit: &FsmCircuit,
-    ced: &CedHardware,
-    faults: &[Fault],
-    options: &CampaignOptions,
-    budget: &Budget,
-) -> Result<CampaignReport, CampaignError> {
-    run_campaign_pooled(circuit, ced, faults, options, budget, &ParExec::serial())
-}
-
-/// [`run_campaign_budgeted`] on a worker pool: faults are judged in
-/// parallel (each judgement — analytic verdict, per-fault tables, the
-/// checker-in-the-loop drive — is pure and carries its own
-/// deterministic seed), then folded into the campaign accumulator in
-/// fault-index order. The report is byte-identical to the serial run
-/// at every job count; an interrupt surfaces the lowest-index
-/// interrupted fault with the outcomes of every fault before it, and
-/// the pool drains (no fault above the interrupt index is started
-/// once it is known).
-///
-/// # Errors
-///
-/// As [`run_campaign_budgeted`].
-///
-/// # Panics
-///
-/// As [`run_campaign`].
-pub fn run_campaign_pooled(
-    circuit: &FsmCircuit,
-    ced: &CedHardware,
-    faults: &[Fault],
-    options: &CampaignOptions,
-    budget: &Budget,
-    pool: &ParExec,
-) -> Result<CampaignReport, CampaignError> {
-    run_campaign_stored(circuit, ced, faults, options, budget, pool, None)
-}
-
-/// [`run_campaign_pooled`] with an optional content-addressed artifact
-/// store: each fault's analytic-verdict tensor (an exhaustive
-/// single-fault detectability table) is memoized under the shared
-/// `tensor` stage, so a repeat campaign — or one that follows a
-/// pipeline run over the same circuit — skips the per-fault
-/// enumeration. The checker-in-the-loop drives are never cached (they
-/// are the operational evidence the campaign exists to collect), so a
-/// hit cannot change any verdict: the tensor stage replays bytes a
-/// prior build proved identical to a recompute.
-///
-/// # Errors
-///
-/// As [`run_campaign_budgeted`].
-///
-/// # Panics
-///
-/// As [`run_campaign`].
-#[allow(clippy::too_many_arguments)] // mirrors run_campaign_pooled + store
+#[allow(clippy::too_many_arguments)] // budget, pool and store ride along
 pub fn run_campaign_stored(
     circuit: &FsmCircuit,
     ced: &CedHardware,
@@ -680,8 +655,16 @@ mod tests {
         let faults = collapsed_faults(c.netlist());
         // Enough budget for exactly 2 fault boundaries.
         let budget = Budget::new().with_tick_cap(3);
-        let err = run_campaign_budgeted(&c, &ced, &faults, &CampaignOptions::default(), &budget)
-            .unwrap_err();
+        let err = run_campaign_stored(
+            &c,
+            &ced,
+            &faults,
+            &CampaignOptions::default(),
+            &budget,
+            &ParExec::serial(),
+            None,
+        )
+        .unwrap_err();
         match err {
             CampaignError::Interrupted {
                 interrupted,
@@ -703,8 +686,16 @@ mod tests {
         let faults = collapsed_faults(c.netlist());
         let budget = Budget::new();
         budget.cancel_token().cancel();
-        let err = run_campaign_budgeted(&c, &ced, &faults, &CampaignOptions::default(), &budget)
-            .unwrap_err();
+        let err = run_campaign_stored(
+            &c,
+            &ced,
+            &faults,
+            &CampaignOptions::default(),
+            &budget,
+            &ParExec::serial(),
+            None,
+        )
+        .unwrap_err();
         match err {
             CampaignError::Interrupted {
                 interrupted,
@@ -729,8 +720,16 @@ mod tests {
             ..CampaignOptions::default()
         };
         let plain = run_campaign(&c, &ced, &faults, &opts).unwrap();
-        let budgeted =
-            run_campaign_budgeted(&c, &ced, &faults, &opts, &Budget::unlimited()).unwrap();
+        let budgeted = run_campaign_stored(
+            &c,
+            &ced,
+            &faults,
+            &opts,
+            &Budget::unlimited(),
+            &ParExec::new(2),
+            None,
+        )
+        .unwrap();
         assert_eq!(plain.machine.outcomes, budgeted.machine.outcomes);
         assert_eq!(plain.render(), budgeted.render());
     }

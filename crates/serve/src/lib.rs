@@ -12,7 +12,11 @@
 //! one-shot CLI report — cold or warm store, any pool width, any fault
 //! model. It holds *by construction*: the [`ops`] module is the single
 //! implementation both the CLI subcommands and the daemon's executors
-//! call.
+//! call — `ced check`, `ced certify`, `ced suite --certify` and `ced
+//! inject --campaign` all run through it. `ced table` alone drives the
+//! pipeline itself, for the checkpoint and resume hooks `ops` does not
+//! take, and renders its `--out` document with the same
+//! `report_to_json` as [`ops::table_json`].
 //!
 //! Robustness is the second pillar (this is a daemon; a bad request
 //! must never take it down):

@@ -6,9 +6,18 @@
 //! the `ced` subcommands and the daemon's executors call the functions
 //! in this module, which take everything they need as parameters (the
 //! machine, the pipeline options, a [`Budget`], a [`ParExec`], an
-//! optional [`Store`]) and return the rendered payload as a value.
-//! Nothing here reads process globals, prints, or exits: a request
-//! scope is the only scope.
+//! optional [`Store`]) and return their result as a value. Nothing
+//! here reads process globals, prints, or exits: a request scope is
+//! the only scope.
+//!
+//! Certify and the inject campaign come in two layers: a typed core
+//! ([`certify`], [`inject_campaign`]) that the CLI renders as its
+//! human text, and a payload renderer over that core
+//! ([`certify_json`], [`inject_text`]) that the daemon returns. Check
+//! and table have one layer each. `ced table` is the one subcommand
+//! that drives the pipeline itself, because it needs the checkpoint
+//! and resume hooks this module does not take; its `--out` bytes are
+//! still [`table_json`]'s.
 //!
 //! Payload formats per operation:
 //!
@@ -26,14 +35,17 @@ use ced_core::pipeline::{
     PipelineOptions,
 };
 use ced_core::report_to_json;
-use ced_core::search::minimize_parity_functions;
+use ced_core::search::{minimize_parity_functions, SearchOutcome};
 use ced_core::synthesize_ced;
 use ced_fsm::machine::Fsm;
+use ced_inject::CampaignReport;
 use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
 use ced_sim::cone::cone_keys;
-use ced_sim::detect::{BuildControl, DetectOptions, DetectabilityTable, InputModel, Semantics};
+use ced_sim::detect::{
+    BuildControl, DetectOptions, DetectStats, DetectabilityTable, InputModel, Semantics,
+};
 use ced_store::Store;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -280,27 +292,13 @@ pub fn execute(
 }
 
 /// `ced check` as a value: Algorithm 1 at one bound, rendered exactly
-/// as the CLI prints it (the CLI calls this and prints the result).
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn check_text(
-    fsm: &Fsm,
-    request: &OpRequest,
-    budget: &Budget,
-    pool: &ParExec,
-    store: Option<&Store>,
-) -> Result<String, OpError> {
-    check_text_with_baseline(fsm, None, request, budget, pool, store).map(|(text, _)| text)
-}
-
-/// [`check_text`] with an optional baseline machine seeding incremental
-/// re-analysis. The payload is byte-identical to the baseline-free call
-/// by construction: the baseline only adds a [`ced_core::pipeline::delta_seed`]
-/// to the fragment build (cross-machine promotion of clean cones) and
-/// computes the [`DeltaSummary`] — it never enters any fingerprint or
-/// the rendered text.
+/// as the CLI prints it, with an optional baseline machine seeding
+/// incremental re-analysis. The payload is byte-identical to the
+/// baseline-free call by construction: the baseline only adds a
+/// [`ced_core::pipeline::delta_seed`] to the fragment build
+/// (cross-machine promotion of clean cones) and computes the
+/// [`DeltaSummary`] — it never enters any fingerprint or the rendered
+/// text.
 ///
 /// # Errors
 ///
@@ -437,19 +435,22 @@ pub fn table_json(
     Ok(report_to_json(&report).render())
 }
 
-/// `ced certify --out` as a value: the pipeline plus the independent
-/// verifier chain, rendered as the `ced-cert-report/1` JSON document.
+/// `ced certify` as a value: the pipeline across the requested bounds,
+/// then the independent verifier chain over its report. A refutation
+/// is a result, not an error — it comes back inside the
+/// [`ced_cert::MachineCertification`].
 ///
 /// # Errors
 ///
-/// As [`execute`].
-pub fn certify_json(
+/// As [`execute`]; a budget that runs out in either phase is
+/// [`OpError::Interrupted`].
+pub fn certify(
     fsm: &Fsm,
     request: &OpRequest,
     budget: &Budget,
     pool: &ParExec,
     store: Option<&Store>,
-) -> Result<String, OpError> {
+) -> Result<ced_cert::MachineCertification, OpError> {
     let lib = CellLibrary::new();
     let report = run_circuit_controlled(
         fsm,
@@ -462,7 +463,7 @@ pub fn certify_json(
             ..PipelineControl::new(budget)
         },
     )?;
-    let cert = ced_cert::certify_report_stored(
+    ced_cert::certify_report_stored(
         fsm,
         &report,
         &request.options,
@@ -477,24 +478,41 @@ pub fn certify_json(
     .map_err(|e| match e {
         ced_cert::CertError::Interrupted(i) => OpError::Interrupted(i),
         other => OpError::Failed(other.to_string()),
-    })?;
-    Ok(ced_cert::report::cert_report_json(&[cert]).render())
+    })
 }
 
-/// `ced inject --campaign --out` as a value: cover synthesis under
-/// hardware semantics, the full cross-validating campaign, rendered as
-/// the campaign report text.
+/// `ced certify --out` as a value: [`certify`] rendered as the
+/// `ced-cert-report/1` JSON document.
 ///
 /// # Errors
 ///
-/// As [`execute`].
-pub fn inject_text(
+/// As [`certify`].
+pub fn certify_json(
     fsm: &Fsm,
     request: &OpRequest,
     budget: &Budget,
     pool: &ParExec,
     store: Option<&Store>,
 ) -> Result<String, OpError> {
+    let cert = certify(fsm, request, budget, pool, store)?;
+    Ok(ced_cert::report::cert_report_json(&[cert]).render())
+}
+
+/// `ced inject --campaign` as a value: cover synthesis under hardware
+/// semantics, then the full cross-validating campaign. Returns the
+/// tensor statistics and the search outcome the CLI prints above the
+/// report, and the campaign report itself.
+///
+/// # Errors
+///
+/// As [`execute`].
+pub fn inject_campaign(
+    fsm: &Fsm,
+    request: &OpRequest,
+    budget: &Budget,
+    pool: &ParExec,
+    store: Option<&Store>,
+) -> Result<(DetectStats, SearchOutcome, CampaignReport), OpError> {
     use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions};
 
     let options = &request.options;
@@ -504,7 +522,7 @@ pub fn inject_text(
     // The campaign's oracle is exact only under hardware semantics
     // with exhaustive inputs; the cover must be verified under the
     // same conditions or escapes would be expected, not disagreements.
-    let (table, _) = DetectabilityTable::build_many_controlled(
+    let (table, dstats) = DetectabilityTable::build_many_controlled(
         &circuit,
         &faults,
         &DetectOptions {
@@ -545,7 +563,23 @@ pub fn inject_text(
         CampaignError::Detect(d) => OpError::Failed(d.to_string()),
         CampaignError::Interrupted { interrupted, .. } => OpError::Interrupted(interrupted),
     })?;
-    Ok(report.render())
+    Ok((dstats, outcome, report))
+}
+
+/// `ced inject --campaign --out` as a value: [`inject_campaign`]'s
+/// report rendered as the campaign report text.
+///
+/// # Errors
+///
+/// As [`inject_campaign`].
+pub fn inject_text(
+    fsm: &Fsm,
+    request: &OpRequest,
+    budget: &Budget,
+    pool: &ParExec,
+    store: Option<&Store>,
+) -> Result<String, OpError> {
+    inject_campaign(fsm, request, budget, pool, store).map(|(_, _, report)| report.render())
 }
 
 /// Maps the tensor builder's error: budget interrupts stay typed, the

@@ -7,7 +7,6 @@
 use crate::fault::Fault;
 use ced_logic::gate::GateKind;
 use ced_logic::netlist::Netlist;
-use ced_runtime::{Budget, Interrupted};
 
 /// Evaluates all nets with `fault` injected, 64 patterns at once,
 /// reusing `values` as scratch (resized as needed).
@@ -38,32 +37,6 @@ pub fn eval_words_faulty_into(
         };
         values[i] = if i == fidx { forced } else { v };
     }
-}
-
-/// [`eval_words_faulty_into`] under a [`Budget`]: charges one work
-/// unit per pass and checks the budget *before* evaluating, so a
-/// driver loop issuing many passes (fault campaigns, transition-table
-/// sweeps) observes cancellation between passes without any check
-/// inside the gate loop itself.
-///
-/// # Errors
-///
-/// The budget's interruption; `values` is untouched in that case.
-///
-/// # Panics
-///
-/// See [`eval_words_faulty_into`].
-pub fn eval_words_faulty_budgeted_into(
-    netlist: &Netlist,
-    inputs: &[u64],
-    fault: Fault,
-    values: &mut Vec<u64>,
-    budget: &Budget,
-) -> Result<(), Interrupted> {
-    budget.check("eval:faulty-pass")?;
-    budget.charge(1);
-    eval_words_faulty_into(netlist, inputs, fault, values);
-    Ok(())
 }
 
 /// Evaluates all nets with every fault of `faults` injected at once,
